@@ -72,23 +72,80 @@ def _decode_function(domain, payload: dict):
     return domain.function(payload["values"])
 
 
-def _run_paired_check(
-    name: str,
-    L,
-    trials: int,
-    seed: int,
-    tol: float,
-    sampler: Callable[[np.random.Generator], dict],
-    raw_of: Callable[[dict], float],
-) -> CheckReport:
+def _sample_dominated(domain, rng) -> dict:
+    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
+    G = F.plus(domain.sample_function(rng, PERTURB_LOW, PERTURB_HIGH))
+    return {"F": F, "G": G}
+
+
+def _sample_shift(domain, rng) -> dict:
+    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
+    return {"F": F, "c": float(rng.uniform(CONST_LOW, CONST_HIGH))}
+
+
+def _sample_pair(domain, rng) -> dict:
+    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
+    G = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
+    return {"F": F, "G": G}
+
+
+def _raw_lipschitz(L, d) -> float:
+    lf, lg = L.evaluate(d["F"]), L.evaluate(d["G"])
+    gap_bound = d["F"].inf_minus(d["G"]) - (lf - lg)
+    norm_bound = abs(lf - lg) - d["F"].sup_distance(d["G"])
+    return max(gap_bound, norm_bound)
+
+
+def _raw_interpolation(phi, d) -> float:
+    F, c = d["F"], d["c"]
+    phi_F = phi.evaluate(F)
+    phi_Fc = phi.evaluate(F.shifted(c))
+    phi_2F = phi.evaluate(F.scaled(2.0))
+    worst = abs(phi_Fc - phi_F - c)
+    for theta in _INTERPOLATION_THETAS:
+        worst = max(worst, phi_Fc - (phi_F + c + theta * (phi_2F / 2 - phi_F)))
+    return worst
+
+
+# Each paired property once, keyed by its report name: sampler(domain, rng)
+# draws one trial's inputs and raw(L, inputs) is its violation.  The checks
+# and reevaluate_witness both read this table.
+_PROPERTIES: dict[str, tuple[Callable, Callable]] = {
+    "monotone": (
+        _sample_dominated,
+        lambda L, d: L.evaluate(d["F"]) - L.evaluate(d["G"]),
+    ),
+    "translation": (
+        _sample_shift,
+        lambda L, d: abs(L.evaluate(d["F"].shifted(d["c"])) - L.evaluate(d["F"]) - d["c"]),
+    ),
+    "maximal": (
+        _sample_pair,
+        lambda L, d: abs(
+            L.evaluate(d["F"].pointwise_max(d["G"]))
+            - max(L.evaluate(d["F"]), L.evaluate(d["G"]))
+        ),
+    ),
+    "max_dominates": (
+        _sample_pair,
+        lambda L, d: max(L.evaluate(d["F"]), L.evaluate(d["G"]))
+        - L.evaluate(d["F"].pointwise_max(d["G"])),
+    ),
+    "lipschitz": (_sample_pair, _raw_lipschitz),
+    "const_preserving_implies_translation": (_sample_shift, _raw_interpolation),
+}
+
+
+def _run_paired_check(name: str, L, trials: int, seed: int, tol: float) -> CheckReport:
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    sampler, raw_of = _PROPERTIES[name]
     worst = -np.inf
     worst_inputs = None
     violations = 0
     for t in range(trials):
-        inputs = sampler(_trial_rng(seed, t))
-        raw = raw_of(inputs)
+        inputs = sampler(L.space, _trial_rng(seed, t))
+        raw = raw_of(L, inputs)
         if raw > tol:
             violations += 1
         if raw > worst:
@@ -113,50 +170,17 @@ def _run_paired_check(
 
 def check_monotone(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL) -> CheckReport:
     """F <= G must give L(F) <= L(G); raw violation is L(F) - L(G)."""
-    domain = L.space
-
-    def sample(rng):
-        F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-        G = F.plus(domain.sample_function(rng, PERTURB_LOW, PERTURB_HIGH))
-        return {"F": F, "G": G}
-
-    return _run_paired_check(
-        "monotone", L, trials, seed, tol, sample,
-        lambda d: L.evaluate(d["F"]) - L.evaluate(d["G"]),
-    )
+    return _run_paired_check("monotone", L, trials, seed, tol)
 
 
 def check_translation(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL) -> CheckReport:
     """L(F + c) must equal L(F) + c; raw violation is the absolute defect."""
-    domain = L.space
-
-    def sample(rng):
-        F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-        return {"F": F, "c": float(rng.uniform(CONST_LOW, CONST_HIGH))}
-
-    return _run_paired_check(
-        "translation", L, trials, seed, tol, sample,
-        lambda d: abs(L.evaluate(d["F"].shifted(d["c"])) - L.evaluate(d["F"]) - d["c"]),
-    )
-
-
-def _sample_pair(domain, rng):
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    G = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    return {"F": F, "G": G}
+    return _run_paired_check("translation", L, trials, seed, tol)
 
 
 def check_maximal(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL) -> CheckReport:
     """Lattice homomorphism: |L(F v G) - max(L(F), L(G))| must vanish."""
-    domain = L.space
-    return _run_paired_check(
-        "maximal", L, trials, seed, tol,
-        lambda rng: _sample_pair(domain, rng),
-        lambda d: abs(
-            L.evaluate(d["F"].pointwise_max(d["G"]))
-            - max(L.evaluate(d["F"]), L.evaluate(d["G"]))
-        ),
-    )
+    return _run_paired_check("maximal", L, trials, seed, tol)
 
 
 def check_max_dominates(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -166,13 +190,7 @@ def check_max_dominates(L, trials: int = 1000, seed: int = 42, tol: float = DEFA
     agree with check_monotone on pass/fail for any handle; the test suite
     asserts that consistency.
     """
-    domain = L.space
-    return _run_paired_check(
-        "max_dominates", L, trials, seed, tol,
-        lambda rng: _sample_pair(domain, rng),
-        lambda d: max(L.evaluate(d["F"]), L.evaluate(d["G"]))
-        - L.evaluate(d["F"].pointwise_max(d["G"])),
-    )
+    return _run_paired_check("max_dominates", L, trials, seed, tol)
 
 
 def check_lipschitz(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -181,20 +199,7 @@ def check_lipschitz(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_
     The positivity bound inf(F - G) <= L(F) - L(G) and the sup-norm bound
     |L(F) - L(G)| <= ||F - G||; the raw violation is the worse defect.
     """
-    domain = L.space
-
-    def raw(d):
-        lf = L.evaluate(d["F"])
-        lg = L.evaluate(d["G"])
-        gap_bound = d["F"].inf_minus(d["G"]) - (lf - lg)
-        norm_bound = abs(lf - lg) - d["F"].sup_distance(d["G"])
-        return max(gap_bound, norm_bound)
-
-    return _run_paired_check(
-        "lipschitz", L, trials, seed, tol,
-        lambda rng: _sample_pair(domain, rng),
-        raw,
-    )
+    return _run_paired_check("lipschitz", L, trials, seed, tol)
 
 
 def check_sigma_continuity(L, seq, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -271,25 +276,7 @@ def check_const_preserving_implies_translation(
             raise PreconditionFailed(
                 f"handle does not preserve constants: Phi({c}) is off by {defect}"
             )
-
-    def sample(rng):
-        F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-        return {"F": F, "c": float(rng.uniform(CONST_LOW, CONST_HIGH))}
-
-    def raw(d):
-        F, c = d["F"], d["c"]
-        phi_F = phi.evaluate(F)
-        phi_Fc = phi.evaluate(F.shifted(c))
-        phi_2F = phi.evaluate(F.scaled(2.0))
-        worst = abs(phi_Fc - phi_F - c)
-        for theta in _INTERPOLATION_THETAS:
-            worst = max(worst, phi_Fc - (phi_F + c + theta * (phi_2F / 2 - phi_F)))
-        return worst
-
-    report = _run_paired_check(
-        "const_preserving_implies_translation", phi, trials, seed, tol, sample, raw
-    )
-    return report
+    return _run_paired_check("const_preserving_implies_translation", phi, trials, seed, tol)
 
 
 def reevaluate_witness(L, report: CheckReport) -> float:
@@ -303,36 +290,13 @@ def reevaluate_witness(L, report: CheckReport) -> float:
     w = report.witness
     domain = L.space
     name = report.property_name
-    if name == "monotone":
-        F, G = _decode_function(domain, w["F"]), _decode_function(domain, w["G"])
-        return L.evaluate(F) - L.evaluate(G)
-    if name == "translation":
-        F = _decode_function(domain, w["F"])
-        return abs(L.evaluate(F.shifted(w["c"])) - L.evaluate(F) - w["c"])
-    if name == "maximal":
-        F, G = _decode_function(domain, w["F"]), _decode_function(domain, w["G"])
-        return abs(L.evaluate(F.pointwise_max(G)) - max(L.evaluate(F), L.evaluate(G)))
-    if name == "max_dominates":
-        F, G = _decode_function(domain, w["F"]), _decode_function(domain, w["G"])
-        return max(L.evaluate(F), L.evaluate(G)) - L.evaluate(F.pointwise_max(G))
-    if name == "lipschitz":
-        F, G = _decode_function(domain, w["F"]), _decode_function(domain, w["G"])
-        lf, lg = L.evaluate(F), L.evaluate(G)
-        return max(F.inf_minus(G) - (lf - lg), abs(lf - lg) - F.sup_distance(G))
     if name == "sigma_continuity":
         last = _decode_function(domain, w["last_term"])
         return abs(L.evaluate(last) - L.base_value) - _LIPSCHITZ_CONSTANT * w["residual"]
-    if name == "const_preserving_implies_translation":
-        F = _decode_function(domain, w["F"])
-        c = w["c"]
-        phi_F = L.evaluate(F)
-        phi_Fc = L.evaluate(F.shifted(c))
-        phi_2F = L.evaluate(F.scaled(2.0))
-        worst = abs(phi_Fc - phi_F - c)
-        for theta in _INTERPOLATION_THETAS:
-            worst = max(worst, phi_Fc - (phi_F + c + theta * (phi_2F / 2 - phi_F)))
-        return worst
-    raise ValidationError(f"unknown property {name!r}")
+    if name not in _PROPERTIES:
+        raise ValidationError(f"unknown property {name!r}")
+    inputs = {k: (_decode_function(domain, v) if isinstance(v, dict) else v) for k, v in w.items()}
+    return _PROPERTIES[name][1](L, inputs)
 
 
 CHECKS = {

@@ -269,7 +269,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="certify a property on seeded random trials")
     p.add_argument("--functional", required=True)
-    p.add_argument("--property", required=True, help="monotone, translation, maximal, max_dominates, lipschitz, const_preserving, or sigma")
+    p.add_argument("--property", required=True, help=", ".join(CHECKS) + ", or sigma")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)

@@ -15,14 +15,14 @@ sub-1e-7 mass back to the boundary.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InfeasibleJ, SpaceMismatch, ValidationError
-from .space import BoundedFunction, ProbabilityMeasure
+from .space import BoundedFunction, ProbabilityMeasure, _lse
 
 EPS_INTERIOR = 1e-9
 BOUNDARY_SNAP = 1e-7
@@ -96,7 +96,7 @@ def exponential_tilt(nu: ProbabilityMeasure, F: BoundedFunction) -> ProbabilityM
     if len(nu) != len(F.values):
         raise SpaceMismatch("measure and function have different lengths")
     z = nu.log_weights + F.values
-    z = z - logsumexp(z)
+    z = z - _lse(z)
     w = np.exp(z)
     return ProbabilityMeasure(w / w.sum(), log_weights=z)
 
@@ -385,7 +385,8 @@ def recover_L_from_J(
     gradient components vanish on the support and are nonpositive off it.
     A step that does not strictly raise the value ends the ascent unless
     the point it reaches passes that test.  Raises InfeasibleJ when no
-    probed start has finite J.
+    probed start has finite J, and SpaceMismatch when J's feasible start
+    and F differ in length.
     """
     opts = opts or AscentOptions()
     F_vals = F.values
@@ -394,11 +395,14 @@ def recover_L_from_J(
     candidates = []
     start_hint = getattr(J, "feasible_start", None)
     if start_hint is not None:
+        if len(start_hint.weights) != m:
+            raise SpaceMismatch("feasible start and function have different lengths")
         candidates.append(np.asarray(start_hint.weights, dtype=float))
     candidates.append(np.full(m, 1.0 / m))
-    candidates.extend(np.eye(m)[i] for i in range(m))
+    # corners one at a time: the ascent usually starts at an earlier candidate
+    corners = (np.eye(1, m, i)[0] for i in range(m))
     weights = None
-    for cand in candidates:
+    for cand in itertools.chain(candidates, corners):
         interior = np.maximum(cand, EPS_INTERIOR)
         interior = interior / interior.sum()
         if np.isfinite(_eval_J(J, interior)):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AllInfiniteRate, SpaceMismatch, ValidationError
 from .space import (
@@ -26,7 +25,7 @@ from .space import (
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
-    _freeze,
+    _lse,
     _require_same_space,
 )
 
@@ -217,14 +216,14 @@ class TailFunction:
 
 
 def _coerce_measure(nu, space):
-    """Accept a ProbabilityMeasure or raw finite nonnegative weights.
+    """Log weights and space from a ProbabilityMeasure or raw weights.
 
-    Raw weights are not normalized: log_integral over a non-probability
-    finite measure is well defined (its base value is log of the mass) and
-    the const-preservation check relies on being able to build one.
+    Raw weights must be finite and nonnegative, and are not normalized:
+    log_integral over a non-probability finite measure is well defined
+    (its base value is log of the mass) and the const-preservation check
+    relies on being able to build one.
     """
     if isinstance(nu, ProbabilityMeasure):
-        weights = nu.weights
         log_weights = nu.log_weights
     else:
         arr = np.array(nu, dtype=float)
@@ -234,50 +233,37 @@ def _coerce_measure(nu, space):
             raise ValidationError("weights must be nonnegative")
         if arr.sum() == 0.0:
             raise ValidationError("weights must carry positive mass")
-        weights = _freeze(arr)
         with np.errstate(divide="ignore"):
             log_weights = np.log(arr)
     if space is None:
-        space = FiniteSpace.default(len(weights))
-    elif len(space) != len(weights):
+        space = FiniteSpace.default(len(log_weights))
+    elif len(space) != len(log_weights):
         raise SpaceMismatch("measure length does not match the space")
-    return weights, log_weights, space
+    return log_weights, space
 
 
-def _tilt_derivatives(n: int, log_weights: np.ndarray):
-    """Exact gradient and Hessian of F -> (1/n) log int e^{nF} dnu.
+def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
+    """L(F) = (1/n) log int e^{nF} dnu with its exact derivatives.
 
     The gradient is the tilted measure p, proportional to e^{nF} nu; the
-    Hessian is n (diag(p) - p p^T).
+    Hessian is n (diag(p) - p p^T).  Zero weights drop out as -inf log
+    weights.
     """
+    log_weights, space = _coerce_measure(nu, space)
+
+    def fn(F):
+        return _lse(n * F.values + log_weights) / n
 
     def grad(values: np.ndarray) -> np.ndarray:
         z = n * values + log_weights
-        return np.exp(z - logsumexp(z))
+        return np.exp(z - _lse(z))
 
     def hessian(values: np.ndarray) -> np.ndarray:
         p = grad(values)
         return n * (np.diag(p) - np.outer(p, p))
 
-    return grad, hessian
-
-
-def log_integral(nu, space: FiniteSpace | None = None) -> FunctionalHandle:
-    """L(F) = log int e^F dnu, the convex non-maximal example.
-
-    Stabilized through log-sum-exp; zero weights drop out as -inf log
-    weights.  The exact gradient at F is the exponentially tilted measure
-    p and the exact Hessian is diag(p) - p p^T, both exposed for the
-    conjugate ascent.
-    """
-    weights, log_weights, space = _coerce_measure(nu, space)
-    grad, hessian = _tilt_derivatives(1, log_weights)
-
-    def fn(F):
-        return logsumexp(F.values + log_weights)
-
     return FunctionalHandle(
-        "log_integral",
+        name,
         space,
         fn,
         claims_maximal=False,
@@ -286,6 +272,16 @@ def log_integral(nu, space: FiniteSpace | None = None) -> FunctionalHandle:
         gradient=grad,
         hessian=hessian,
     )
+
+
+def log_integral(nu, space: FiniteSpace | None = None) -> FunctionalHandle:
+    """L(F) = log int e^F dnu, the convex non-maximal example.
+
+    ldp_term at n = 1 under its own name.  The exact gradient at F is the
+    exponentially tilted measure p and the exact Hessian is
+    diag(p) - p p^T, both exposed for the conjugate ascent.
+    """
+    return _log_family(nu, 1, "log_integral", space)
 
 
 def sup_form(I: RateFunction, L0: float = 0.0) -> FunctionalHandle:
@@ -317,29 +313,14 @@ def sup_form(I: RateFunction, L0: float = 0.0) -> FunctionalHandle:
 def ldp_term(mu, n: int, space: FiniteSpace | None = None) -> FunctionalHandle:
     """L(F) = (1/n) log int e^{nF} dmu, the nth term of an LDP sequence.
 
-    At n = 1 this is log_integral(mu) exactly, bit for bit.  The exact
-    gradient is the tilted measure p, proportional to e^{nF} mu, and the
-    exact Hessian is n (diag(p) - p p^T).
+    At n = 1 this is log_integral(mu) exactly, bit for bit: both are built
+    by one evaluator.  The exact gradient is the tilted measure p,
+    proportional to e^{nF} mu, and the exact Hessian is n (diag(p) - p p^T).
     """
     if n < 1 or int(n) != n:
         raise ValidationError("n must be a positive integer")
     n = int(n)
-    weights, log_weights, space = _coerce_measure(mu, space)
-    grad, hessian = _tilt_derivatives(n, log_weights)
-
-    def fn(F):
-        return logsumexp(n * F.values + log_weights) / n
-
-    return FunctionalHandle(
-        f"ldp_term(n={n})",
-        space,
-        fn,
-        claims_maximal=False,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-        gradient=grad,
-        hessian=hessian,
-    )
+    return _log_family(mu, n, f"ldp_term(n={n})", space)
 
 
 def tail_limsup(domain: TailDomain | None = None) -> FunctionalHandle:

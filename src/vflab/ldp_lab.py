@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .duality import sublevel_set
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     ScheduleTooShort,
     ValidationError,
 )
-from .space import STRUCTURAL_TOL, FiniteSpace, ProbabilityMeasure, RateFunction
+from .space import STRUCTURAL_TOL, FiniteSpace, ProbabilityMeasure, RateFunction, _lse
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
 
@@ -126,10 +125,11 @@ def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("n must be a positive integer")
 
     k = np.arange(n + 1)
+    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
     log_w = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
+        lf[n]
+        - lf
+        - lf[::-1]
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
@@ -210,7 +210,7 @@ def ldp_value(entry: SequenceEntry, F) -> float:
     if coords is None:
         raise ValidationError("continuum functions need a line space with coordinates")
     f_at_atoms = np.asarray(F(coords), dtype=float)
-    return float(logsumexp(entry.n * f_at_atoms + entry.measure.log_weights) / entry.n)
+    return _lse(entry.n * f_at_atoms + entry.measure.log_weights) / entry.n
 
 
 def estimate_limit(seq: MeasureSequence, F, opts: FitOptions | None = None) -> LimitReport:

@@ -157,31 +157,6 @@ def decode_measure(doc) -> ProbabilityMeasure:
     return make_measure(w)
 
 
-def measure_csv(space: FiniteSpace, mu: ProbabilityMeasure) -> str:
-    rows = [("label", "weight")]
-    rows += [(space.point_ids[i], mu.weights[i]) for i in range(len(mu))]
-    return _csv_text(rows)
-
-
-def decode_measure_csv(text: str) -> tuple[list[str], ProbabilityMeasure]:
-    """One row per point: label, weight.  Returns the labels and the measure."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty CSV", line=1)
-    start = 1 if lines[0].strip().lower().replace(" ", "") == "label,weight" else 0
-    labels, weights = [], []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError("expected two columns: label, weight", line=lineno)
-        labels.append(parts[0].strip())
-        try:
-            weights.append(float(parts[1]))
-        except ValueError:
-            raise ParseError("malformed weight", line=lineno) from None
-    return labels, decode_measure(weights)
-
-
 # -- rates --
 
 
@@ -431,8 +406,6 @@ __all__ = [
     "decode_function",
     "encode_measure",
     "decode_measure",
-    "measure_csv",
-    "decode_measure_csv",
     "encode_rate",
     "decode_rate",
     "encode_dual_report",

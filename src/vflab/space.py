@@ -31,6 +31,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _lse(z: np.ndarray) -> float:
+    """log sum exp(z) over a 1-d z, shifted by its max.
+
+    The package's one log-sum-exp kernel.  The k maximal terms are summed
+    apart, as log1p(rest / k) + log(k) + max, which stays accurate to the
+    last bits when they dominate (Blanchard, Higham and Higham 2021).
+    -inf entries are zero weights (all -inf gives -inf); a +inf or nan
+    maximum is returned as it is.
+    """
+    m = np.max(z)
+    if not np.isfinite(m):
+        return float(m)
+    top = z == m
+    e = np.exp(z - m)
+    e[top] = 0.0
+    k = np.count_nonzero(top)
+    return float(np.log1p(np.sum(e) / k) + np.log(k) + m)
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
@@ -67,24 +86,25 @@ class FiniteSpace:
             return
 
         if metric is None:
-            # discrete metric: distance 1 between distinct points
+            # discrete metric: distance 1 between distinct points; a metric
+            # by construction, so it skips the O(n^3) validation
             m = np.ones((n, n)) - np.eye(n)
         else:
             m = np.array(metric, dtype=float)
-        if m.shape != (n, n):
-            raise ValidationError(f"metric must be {n}x{n}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("metric entries must be finite")
-        if np.any(np.diag(m) != 0.0):
-            raise ValidationError("metric diagonal must be exactly zero")
-        if np.max(np.abs(m - m.T)) > STRUCTURAL_TOL:
-            raise ValidationError("metric must be symmetric")
-        if np.any(m < -STRUCTURAL_TOL):
-            raise ValidationError("metric must be nonnegative")
-        # triangle inequality, checked directly; spaces are small in matrix mode
-        for k in range(n):
-            if np.any(m > m[:, k][:, None] + m[None, k, :] + STRUCTURAL_TOL):
-                raise ValidationError("metric violates the triangle inequality")
+            if m.shape != (n, n):
+                raise ValidationError(f"metric must be {n}x{n}")
+            if not np.all(np.isfinite(m)):
+                raise ValidationError("metric entries must be finite")
+            if np.any(np.diag(m) != 0.0):
+                raise ValidationError("metric diagonal must be exactly zero")
+            if np.max(np.abs(m - m.T)) > STRUCTURAL_TOL:
+                raise ValidationError("metric must be symmetric")
+            if np.any(m < -STRUCTURAL_TOL):
+                raise ValidationError("metric must be nonnegative")
+            # triangle inequality, checked directly; spaces are small in matrix mode
+            for k in range(n):
+                if np.any(m > m[:, k][:, None] + m[None, k, :] + STRUCTURAL_TOL):
+                    raise ValidationError("metric violates the triangle inequality")
         self._matrix = _freeze(m)
         self._coords = None
 
@@ -264,6 +284,8 @@ class ProbabilityMeasure:
 
     def __init__(self, weights, log_weights=None, normalization: float = 1.0):
         arr = _as_float_array(weights, "weights")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("weights must be finite")
         if np.any(arr < 0):
             raise NegativeWeight("weights must be nonnegative")
         total = float(arr.sum())

@@ -176,6 +176,15 @@ class TestCheck:
         assert "sigma" in err and "monotone" in err
 
 
+    def test_property_help_lists_every_check(self, capsys):
+        from vflab.axioms import CHECKS
+
+        with pytest.raises(SystemExit):
+            run(["check", "--help"])
+        words = capsys.readouterr().out.replace(",", " ").split()
+        assert all(name in words for name in [*CHECKS, "sigma"])
+
+
 class TestCramerAndTightness:
     def test_linear_limit_converges(self, tmp_path, capsys):
         from vflab.ldp_lab import REFERENCE_GRID
@@ -264,6 +273,14 @@ class TestErrorRecords:
         code, _, err = run_cli(capsys, "dual", "--functional", f)
         assert code == 2
         assert err.startswith("vflab: error kind=AllInfiniteRate detail=")
+
+    def test_nan_weights_rejected(self, tmp_path, capsys):
+        f = write(tmp_path, "L.json", {"kind": "log_integral", "measure": {"weights": ["nan", 0.5]}})
+        g = write(tmp_path, "F.json", {"values": [0.0, 0.0]})
+        code, out, err = run_cli(capsys, "eval", "--functional", f, "--f", g)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("vflab: error kind=ValidationError detail=")
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--f", "x.json")

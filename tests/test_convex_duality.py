@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,25 @@ class TestRecover:
         report = recover_L_from_J(dirac_functional(mu0), 0.0, F)
         assert report.maximizer.weights.tolist() == [1.0, 0.0]
         assert report.value == 1.25
+
+    def test_start_length_mismatch_raises(self):
+        F = FiniteSpace.default(3).function([0.0, 0.0, 0.0])
+        with pytest.raises(SpaceMismatch):
+            recover_L_from_J(kl_functional(ProbabilityMeasure([0.5, 0.5])), 0.0, F)
+
+    def test_accepted_start_builds_no_corners(self):
+        # one m x m identity per corner candidate peaked at ~1 GB for m = 512
+        m = 512
+        nu = ProbabilityMeasure(np.full(m, 1.0 / m))
+        F = FiniteSpace.default(m).zero_function()
+        tracemalloc.start()
+        try:
+            report = recover_L_from_J(kl_functional(nu), 0.0, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged and report.iterations == 0
+        assert peak < 8 * 2**20
 
     def test_infeasible_j_raises(self):
         from vflab.convex_duality import MeasureFunctional

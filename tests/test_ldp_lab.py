@@ -60,7 +60,7 @@ class TestBinomialWeights:
         w, log_w = binomial_weights(64, 0.5)
         mask = w > 0
         assert np.allclose(np.exp(log_w[mask]), w[mask], rtol=1e-10)
-        assert np.all(np.isfinite(log_w))  # gammaln path never underflows
+        assert np.all(np.isfinite(log_w))  # log-gamma path never underflows
 
     def test_invalid_p(self):
         for p in (0.0, 1.0, -0.1, 1.5):

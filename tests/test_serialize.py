@@ -24,7 +24,7 @@ from vflab import (
     tightness_scan,
     vanishing_sequence,
 )
-from vflab.errors import ParseError
+from vflab.errors import ParseError, ValidationError
 from vflab.functionals import TailDomain
 from vflab.serialize import (
     check_report_csv,
@@ -33,7 +33,6 @@ from vflab.serialize import (
     decode_functional,
     decode_grid_function,
     decode_measure,
-    decode_measure_csv,
     decode_rate,
     decode_space,
     dual_report_csv,
@@ -52,7 +51,6 @@ from vflab.serialize import (
     gap_csv,
     limit_report_csv,
     load_functional,
-    measure_csv,
     read_json,
     tightness_csv,
     value_csv,
@@ -135,31 +133,15 @@ class TestMeasure:
         assert mu.weights.tolist() == [0.25, 0.75]
         assert mu.normalization == 4.0
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValidationError):
+            decode_measure({"weights": ["nan", 0.5]})
+
     def test_bool_weights_rejected(self):
         with pytest.raises(ParseError):
             decode_measure([True, False])
         with pytest.raises(ParseError):
             decode_measure([])
-
-    def test_csv_round_trip(self):
-        space = FiniteSpace(["lo", "hi"])
-        mu = ProbabilityMeasure([0.3, 0.7])
-        text = measure_csv(space, mu)
-        assert text.splitlines()[0] == "label,weight"
-        labels, back = decode_measure_csv(text)
-        assert labels == ["lo", "hi"]
-        assert np.array_equal(back.weights, mu.weights)
-
-    def test_csv_headerless_and_errors(self):
-        labels, mu = decode_measure_csv("a,0.5\nb,0.5\n")
-        assert labels == ["a", "b"]
-        with pytest.raises(ParseError) as exc:
-            decode_measure_csv("label,weight\na,0.5,9\n")
-        assert exc.value.line == 2
-        with pytest.raises(ParseError):
-            decode_measure_csv("label,weight\na,zebra\n")
-        with pytest.raises(ParseError):
-            decode_measure_csv("   \n")
 
 
 class TestRate:

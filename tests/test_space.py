@@ -1,3 +1,8 @@
+import math
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from vflab.errors import (
     ValidationError,
 )
 from vflab.functionals import TailDomain
+from vflab.space import _lse
 
 
 class TestFiniteSpace:
@@ -49,6 +55,13 @@ class TestFiniteSpace:
             FiniteSpace(["a", "a"])  # duplicate labels
         with pytest.raises(ValidationError):
             FiniteSpace([])
+
+    def test_default_skips_the_cubic_triangle_check(self):
+        # the triangle loop is O(m^3): about 30 s at m = 2048 on a 2-vCPU Xeon
+        t0 = time.perf_counter()
+        s = FiniteSpace.default(2048)
+        assert time.perf_counter() - t0 < 2.0
+        assert s.distance(0, 2047) == 1.0 and s.distance(5, 5) == 0.0
 
     def test_index_of(self):
         s = FiniteSpace.default(3)
@@ -143,6 +156,14 @@ class TestProbabilityMeasure:
         with pytest.raises(ValidationError):
             ProbabilityMeasure([0.5, 0.6])
 
+    def test_non_finite_weights_rejected(self):
+        # a nan sum passes abs(total - 1) > tol, so finiteness is checked first
+        for bad in ([np.nan, 1.0], [0.5, 0.5, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValidationError):
+                ProbabilityMeasure(bad)
+        with pytest.raises(ValidationError):
+            make_measure([np.nan, 0.5])
+
     def test_log_weights__defaults_to_elementwise_log(self):
         mu = ProbabilityMeasure([0.5, 0.5, 0.0])
         assert np.allclose(mu.log_weights[:2], np.log(0.5))
@@ -213,3 +234,35 @@ class TestValidateDecreasing:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError):
             validate_decreasing([])
+
+
+class TestLse:
+    @staticmethod
+    def oracle(z) -> float:
+        finite = [float(v) for v in z if v != -math.inf]
+        m = max(finite)
+        return m + math.log(math.fsum(math.exp(v - m) for v in finite))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, -1e3])
+    def test_matches_fsum_oracle(self, shift):
+        # exp(1e3) overflows and exp(-1e3) underflows without the max shift
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 8, 300):
+            z = rng.uniform(-30.0, 30.0, size) + shift
+            if size > 2:
+                z[[0, size // 2]] = -np.inf  # zero weights
+                z[size - 1] = z.max()  # a tied maximum
+            expected = self.oracle(z)
+            assert abs(_lse(z) - expected) <= 4 * math.ulp(expected)
+
+    def test_special_values(self):
+        assert _lse(np.array([-np.inf, -np.inf])) == -np.inf
+        assert _lse(np.array([-np.inf, 2.5])) == 2.5
+        assert _lse(np.array([np.inf, 0.0])) == np.inf
+        assert math.isnan(_lse(np.array([np.nan, 0.0])))
+
+
+def test_import_loads_numpy_only():
+    code = "import sys, vflab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
