@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionFailed, SequenceNotVanishing, ValidationError
-from .space import DecreasingSequence, validate_decreasing
+from .space import DecreasingSequence, _row_blocks, validate_decreasing
 
 DEFAULT_TOL = 1e-9
 _RESIDUAL_GATE = 1e-6
@@ -58,6 +58,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(seed + trial)
 
 
+def _validate_run(trials: int, seed: int, tol: float) -> None:
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not np.isfinite(tol):
+        raise ValidationError(f"tolerance must be finite, got {tol!r}")
+
+
 def _encode_function(fn) -> dict:
     payload = {"values": [float(v) for v in fn.values]}
     tail = getattr(fn, "tail_value", None)
@@ -72,91 +81,119 @@ def _decode_function(domain, payload: dict):
     return domain.function(payload["values"])
 
 
-def _sample_dominated(domain, rng) -> dict:
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    G = F.plus(domain.sample_function(rng, PERTURB_LOW, PERTURB_HIGH))
-    return {"F": F, "G": G}
+def _draw(rngs, *fields) -> dict:
+    """One block of trials: fields are (key, low, high, size) uniform draws.
+
+    Row i of every array comes from rngs[i] alone, drawn field by field in
+    the order given; size None draws one scalar per trial.  A function is
+    one draw over its whole row (grid, then tail), so a trial's inputs do
+    not depend on the block it falls in.
+    """
+    out = {key: np.empty((len(rngs), size) if size else len(rngs)) for key, _, _, size in fields}
+    for i, rng in enumerate(rngs):
+        for key, low, high, size in fields:
+            out[key][i] = rng.uniform(low, high, size)
+    return out
 
 
-def _sample_shift(domain, rng) -> dict:
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    return {"F": F, "c": float(rng.uniform(CONST_LOW, CONST_HIGH))}
+def _sample_dominated(rngs, width: int) -> dict:
+    d = _draw(rngs, ("F", FUNCTION_LOW, FUNCTION_HIGH, width), ("G", PERTURB_LOW, PERTURB_HIGH, width))
+    d["G"] += d["F"]
+    return d
 
 
-def _sample_pair(domain, rng) -> dict:
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    G = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    return {"F": F, "G": G}
+def _sample_shift(rngs, width: int) -> dict:
+    return _draw(rngs, ("F", FUNCTION_LOW, FUNCTION_HIGH, width), ("c", CONST_LOW, CONST_HIGH, None))
 
 
-def _raw_lipschitz(L, d) -> float:
-    lf, lg = L.evaluate(d["F"]), L.evaluate(d["G"])
-    gap_bound = d["F"].inf_minus(d["G"]) - (lf - lg)
-    norm_bound = abs(lf - lg) - d["F"].sup_distance(d["G"])
-    return max(gap_bound, norm_bound)
+def _sample_pair(rngs, width: int) -> dict:
+    return _draw(rngs, ("F", FUNCTION_LOW, FUNCTION_HIGH, width), ("G", FUNCTION_LOW, FUNCTION_HIGH, width))
 
 
-def _raw_interpolation(phi, d) -> float:
+# The raw violations below work on rows (see BoundedFunction.row), one
+# trial per row.  _max is Python's max(a, b) elementwise, so NaN and
+# signed zeros come out as a per-trial loop of max() would give them.
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _raw_lipschitz(L, d):
+    D = d["F"] - d["G"]
+    lf, lg = L.evaluate_many(d["F"]), L.evaluate_many(d["G"])
+    gap_bound = D.min(-1) - (lf - lg)
+    norm_bound = np.abs(lf - lg) - np.abs(D).max(-1)
+    return _max(gap_bound, norm_bound)
+
+
+def _raw_interpolation(phi, d):
     F, c = d["F"], d["c"]
-    phi_F = phi.evaluate(F)
-    phi_Fc = phi.evaluate(F.shifted(c))
-    phi_2F = phi.evaluate(F.scaled(2.0))
-    worst = abs(phi_Fc - phi_F - c)
+    phi_F = phi.evaluate_many(F)
+    phi_Fc = phi.evaluate_many(F + c[:, None])
+    phi_2F = phi.evaluate_many(F * 2.0)
+    worst = np.abs(phi_Fc - phi_F - c)
     for theta in _INTERPOLATION_THETAS:
-        worst = max(worst, phi_Fc - (phi_F + c + theta * (phi_2F / 2 - phi_F)))
+        worst = _max(worst, phi_Fc - (phi_F + c + theta * (phi_2F / 2 - phi_F)))
     return worst
 
 
-# Each paired property once, keyed by its report name: sampler(domain, rng)
-# draws one trial's inputs and raw(L, inputs) is its violation.  The checks
-# and reevaluate_witness both read this table.
+def _raw_maximal(L, d):
+    F, G = d["F"], d["G"]
+    return np.abs(L.evaluate_many(np.maximum(F, G)) - _max(L.evaluate_many(F), L.evaluate_many(G)))
+
+
+def _raw_max_dominates(L, d):
+    F, G = d["F"], d["G"]
+    return _max(L.evaluate_many(F), L.evaluate_many(G)) - L.evaluate_many(np.maximum(F, G))
+
+
+# Each paired property once, keyed by its report name: sampler(rngs, width)
+# draws a block of trials and raw(L, inputs) is their violations.  The
+# checks and reevaluate_witness (on a one-row block) both read this table.
 _PROPERTIES: dict[str, tuple[Callable, Callable]] = {
     "monotone": (
         _sample_dominated,
-        lambda L, d: L.evaluate(d["F"]) - L.evaluate(d["G"]),
+        lambda L, d: L.evaluate_many(d["F"]) - L.evaluate_many(d["G"]),
     ),
     "translation": (
         _sample_shift,
-        lambda L, d: abs(L.evaluate(d["F"].shifted(d["c"])) - L.evaluate(d["F"]) - d["c"]),
-    ),
-    "maximal": (
-        _sample_pair,
-        lambda L, d: abs(
-            L.evaluate(d["F"].pointwise_max(d["G"]))
-            - max(L.evaluate(d["F"]), L.evaluate(d["G"]))
+        lambda L, d: np.abs(
+            L.evaluate_many(d["F"] + d["c"][:, None]) - L.evaluate_many(d["F"]) - d["c"]
         ),
     ),
-    "max_dominates": (
-        _sample_pair,
-        lambda L, d: max(L.evaluate(d["F"]), L.evaluate(d["G"]))
-        - L.evaluate(d["F"].pointwise_max(d["G"])),
-    ),
+    "maximal": (_sample_pair, _raw_maximal),
+    "max_dominates": (_sample_pair, _raw_max_dominates),
     "lipschitz": (_sample_pair, _raw_lipschitz),
     "const_preserving_implies_translation": (_sample_shift, _raw_interpolation),
 }
 
 
 def _run_paired_check(name: str, L, trials: int, seed: int, tol: float) -> CheckReport:
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    _validate_run(trials, seed, tol)
     sampler, raw_of = _PROPERTIES[name]
+    domain = L.space
+    width = domain.row_width
     worst = -np.inf
-    worst_inputs = None
+    worst_rows = worst_trial = None
     violations = 0
-    for t in range(trials):
-        inputs = sampler(L.space, _trial_rng(seed, t))
+    for start, stop in _row_blocks(trials, width):
+        inputs = sampler([_trial_rng(seed, t) for t in range(start, stop)], width)
         raw = raw_of(L, inputs)
-        if raw > tol:
-            violations += 1
-        if raw > worst:
-            worst = raw
-            worst_inputs = dict(inputs, trial=t)
+        violations += int(np.count_nonzero(raw > tol))
+        # the first strictly greatest raw value; NaN never counts
+        i = int(np.argmax(np.where(np.isnan(raw), -np.inf, raw)))
+        if raw[i] > worst:
+            worst = float(raw[i])
+            worst_rows = {k: v[i].copy() for k, v in inputs.items()}
+            worst_trial = start + i
     witness = None
     if violations > 0:
         witness = {
-            k: (_encode_function(v) if hasattr(v, "values") else v)
-            for k, v in worst_inputs.items()
+            k: (_encode_function(domain.from_row(v)) if np.ndim(v) else float(v))
+            for k, v in worst_rows.items()
         }
+        witness["trial"] = worst_trial
     return CheckReport(
         property_name=name,
         trials=trials,
@@ -210,6 +247,7 @@ def check_sigma_continuity(L, seq, tol: float = DEFAULT_TOL) -> CheckReport:
     through the Lipschitz constant.  A pass is evidence along this
     sequence only; a failure is a proof, and the trajectory shows it.
     """
+    _validate_run(trials=1, seed=0, tol=tol)
     if not isinstance(seq, DecreasingSequence):
         seq = validate_decreasing(seq)
     if seq.residual > _RESIDUAL_GATE:
@@ -266,6 +304,7 @@ def check_const_preserving_implies_translation(
     at theta in {1/2, 1/4, 1/8} together with the translation identity
     itself; the raw violation is the worst of the four defects.
     """
+    _validate_run(trials, seed, tol)
     if not phi.claims_convex:
         raise PreconditionFailed("handle does not claim convexity")
     domain = phi.space
@@ -295,8 +334,12 @@ def reevaluate_witness(L, report: CheckReport) -> float:
         return abs(L.evaluate(last) - L.base_value) - _LIPSCHITZ_CONSTANT * w["residual"]
     if name not in _PROPERTIES:
         raise ValidationError(f"unknown property {name!r}")
-    inputs = {k: (_decode_function(domain, v) if isinstance(v, dict) else v) for k, v in w.items()}
-    return _PROPERTIES[name][1](L, inputs)
+    rows = {
+        k: (_decode_function(domain, v).row if isinstance(v, dict) else np.float64(v))[None]
+        for k, v in w.items()
+        if k != "trial"
+    }
+    return float(_PROPERTIES[name][1](L, rows)[0])
 
 
 CHECKS = {

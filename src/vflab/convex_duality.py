@@ -44,13 +44,13 @@ class AscentOptions:
     finite_difference_h: float = 1e-6
 
     def __post_init__(self):
-        if min(
-            self.step_init,
-            self.grad_tolerance,
-            self.value_cap,
-            self.finite_difference_h,
-        ) <= 0:
+        # written as not (x > 0) so that nan is refused too; value_cap may be inf
+        if not all(
+            x > 0 for x in (self.step_init, self.grad_tolerance, self.value_cap, self.finite_difference_h)
+        ):
             raise ValidationError("ascent options must be positive")
+        if not np.isfinite([self.step_init, self.grad_tolerance, self.finite_difference_h]).all():
+            raise ValidationError("step_init, grad_tolerance and finite_difference_h must be finite")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
 

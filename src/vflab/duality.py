@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllInfiniteRate, ValidationError
-from .space import BoundedFunction, RateFunction
+from .space import BoundedFunction, RateFunction, _row_blocks
 
 # values in (-1e-12, 0) coming out of the L(0) cancellation collapse to 0.0
 # so RateFunction's nonnegativity accepts them
@@ -47,11 +47,12 @@ class PitSchedule:
     def __post_init__(self):
         depths = self.depths if self.depths is not None else _default_depths()
         depths = tuple(float(d) for d in depths)
-        if not depths or any(d <= 0 for d in depths):
-            raise ValidationError("depths must be positive")
-        if any(b <= a for a, b in zip(depths, depths[1:])):
+        # comparisons written as not (x > y) so that nan is refused too
+        if not depths or not all(0 < d < math.inf for d in depths):
+            raise ValidationError("depths must be positive and finite")
+        if not all(b > a for a, b in zip(depths, depths[1:])):
             raise ValidationError("depths must be strictly increasing")
-        if self.stall_tolerance <= 0 or self.divergence_slope <= 0:
+        if not (self.stall_tolerance > 0 and self.divergence_slope > 0):
             raise ValidationError("tolerances must be positive")
         object.__setattr__(self, "depths", depths)
 
@@ -83,6 +84,19 @@ class DualReport:
     per_point_convergence: tuple[PointConvergence, ...]
 
 
+def _neg_pits(L, indices: np.ndarray, depths) -> np.ndarray:
+    """-L(pit) for the pits 0 at indices[r] and -depths[r] (or one depth) elsewhere.
+
+    A tail domain's pit drops to -depth in its tail column too: only then
+    does the limsup see it.
+    """
+    width = L.space.row_width
+    rows = np.empty((len(indices), width))
+    rows[...] = -np.reshape(depths, (-1, 1))
+    rows[np.arange(len(indices)), indices] = 0.0
+    return -L.evaluate_many(rows)
+
+
 def pit_values(L, index: int, sched: PitSchedule | None = None) -> list[float]:
     """The raw sequence -L(pit_{x,M}) over the whole schedule, no early exit.
 
@@ -90,37 +104,47 @@ def pit_values(L, index: int, sched: PitSchedule | None = None) -> list[float]:
     nondecreasing, and tests assert exactly that.
     """
     sched = sched or PitSchedule()
-    domain = L.space
-    return [-L.evaluate(domain.pit_function(index, d)) for d in sched.depths]
+    depths = np.array(sched.depths)
+    out = []
+    for a, b in _row_blocks(len(depths), L.space.row_width):
+        out.extend(_neg_pits(L, np.full(b - a, index), depths[a:b]))
+    return [float(v) for v in out]
 
 
-def _dual_point(L, index: int, sched: PitSchedule) -> tuple[float, PointConvergence]:
-    domain = L.space
-    label = domain.point_ids[index]
+def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray, list[PointConvergence]]:
+    """The pit limit at a block of points, depth by depth.
+
+    Each depth is one evaluate_many call over the points whose increment
+    has not yet fallen to stall_tolerance; a point's numbers are those a
+    pass over its own depths alone would give.
+    """
     depths = sched.depths
-    prev = -L.evaluate(domain.pit_function(index, depths[0]))
-    depth = depths[0]
-    increment = 0.0
-    divergent = False
-    stalled = len(depths) == 1
-    for k in range(1, len(depths)):
-        cur = -L.evaluate(domain.pit_function(index, depths[k]))
-        increment = cur - prev
-        depth = depths[k]
-        prev = cur
-        if increment <= sched.stall_tolerance:
-            stalled = True
+    k = len(indices)
+    prev = _neg_pits(L, indices, depths[0])
+    depth = np.full(k, depths[0])
+    increment = np.zeros(k)
+    stalled = np.full(k, len(depths) == 1)
+    for d in depths[1:]:
+        live = np.flatnonzero(~stalled)
+        if not len(live):
             break
-    if not stalled:
+        cur = _neg_pits(L, indices[live], d)
+        inc = cur - prev[live]
+        increment[live], depth[live], prev[live] = inc, d, cur
+        stalled[live] = inc <= sched.stall_tolerance
+    divergent = np.zeros(k, dtype=bool)
+    if len(depths) > 1:
         step = depths[-1] - depths[-2]
-        divergent = increment >= sched.divergence_slope * step
-    if divergent:
-        value = math.inf
-    else:
-        value = L.base_value + prev
-        if -_NEGATIVE_CLAMP < value < 0.0:
-            value = 0.0
-    return value, PointConvergence(label, float(depth), float(increment), divergent)
+        divergent = ~stalled & (increment >= sched.divergence_slope * step)
+    values = L.base_value + prev
+    values[(-_NEGATIVE_CLAMP < values) & (values < 0.0)] = 0.0
+    values[divergent] = math.inf
+    labels = _grid_space(L.space).point_ids
+    convergence = [
+        PointConvergence(labels[i], float(dp), float(inc), bool(div))
+        for i, dp, inc, div in zip(indices, depth, increment, divergent)
+    ]
+    return values, convergence
 
 
 def dual_rate_at(L, point, sched: PitSchedule | None = None) -> float:
@@ -132,8 +156,8 @@ def dual_rate_at(L, point, sched: PitSchedule | None = None) -> float:
     sched = sched or PitSchedule()
     # resolve through the underlying finite grid so labels and ints both work
     index = _grid_space(L.space).index_of(point)
-    value, _ = _dual_point(L, index, sched)
-    return value
+    values, _ = _dual_points(L, np.array([index]), sched)
+    return float(values[0])
 
 
 def _grid_space(domain):
@@ -146,15 +170,15 @@ def dual_rate(L, sched: PitSchedule | None = None) -> DualReport:
 
     The transform works with L - L(0) internally, so base_value carries
     L(0) and the rate is exactly the dual of the normalized functional.
+    Points go through in blocks of stacked pit rows.
     """
     sched = sched or PitSchedule()
     space = _grid_space(L.space)
     values = np.empty(len(space))
     convergence = []
-    for i in range(len(space)):
-        value, conv = _dual_point(L, i, sched)
-        values[i] = value
-        convergence.append(conv)
+    for a, b in _row_blocks(len(space), L.space.row_width):
+        values[a:b], conv = _dual_points(L, np.arange(a, b), sched)
+        convergence.extend(conv)
     return DualReport(
         rate=RateFunction(values, space),
         base_value=float(L.base_value),
@@ -204,7 +228,7 @@ def sublevel_set(rate: RateFunction, a: float) -> SublevelSet:
     Empty and singleton sets have diameter 0; the boundary rate = a is
     included.
     """
-    if a <= 0:
+    if not a > 0:  # refuses nan as well
         raise ValidationError("sublevel threshold must be positive")
     idx = np.nonzero(rate.values <= a)[0]
     labels = tuple(rate.space.point_ids[int(i)] for i in idx)

@@ -25,20 +25,27 @@ from .space import (
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
+    _RowOps,
     _lse,
-    _require_same_space,
 )
 
 
 class FunctionalHandle:
     """An evaluator for one functional plus its declared properties.
 
+    The evaluator comes in one of two forms.  rows maps function rows
+    (see BoundedFunction.row; last axis space.row_width) to L of each row,
+    reducing over the last axis only; the built-ins give this form, so
+    evaluate and evaluate_many run the same code.  fn maps one function
+    object to L(F); evaluate_many then calls it row by row.
+
     evaluate is deterministic: the same input vector gives bit-identical
-    output.  base_value caches L(0).  gradient, when present, maps function
-    values to the exact derivative dL/dF as a weight vector (the tilted
-    measure for the log-integral family).  hessian, when present, maps
-    function values to the exact second derivative as an (m, m) matrix;
-    conjugate_J takes Newton steps with it.
+    output, in evaluate and in any row of evaluate_many.  base_value
+    caches L(0).  gradient, when present, maps function values to the
+    exact derivative dL/dF as a weight vector (the tilted measure for the
+    log-integral family).  hessian, when present, maps function values to
+    the exact second derivative as an (m, m) matrix; conjugate_J takes
+    Newton steps with it.
     """
 
     __slots__ = (
@@ -51,34 +58,59 @@ class FunctionalHandle:
         "gradient",
         "hessian",
         "_fn",
+        "_rows",
     )
 
     def __init__(
         self,
         name: str,
         space,
-        fn: Callable,
+        fn: Callable | None = None,
         *,
+        rows: Callable | None = None,
         claims_maximal: bool,
         claims_convex: bool,
         claims_sigma_continuous: bool,
         gradient: Callable | None = None,
         hessian: Callable | None = None,
     ):
+        if (fn is None) == (rows is None):
+            raise ValidationError("a handle needs exactly one of fn and rows")
         self.name = name
         self.space = space
         self._fn = fn
+        self._rows = rows
         self.claims_maximal = bool(claims_maximal)
         self.claims_convex = bool(claims_convex)
         self.claims_sigma_continuous = bool(claims_sigma_continuous)
         self.gradient = gradient
         self.hessian = hessian
-        self.base_value = float(fn(space.zero_function()))
+        zero = space.zero_function()
+        self.base_value = float(fn(zero) if rows is None else rows(zero.row))
 
     def evaluate(self, F) -> float:
+        if self._rows is not None:
+            return float(self._rows(F.row))
         return float(self._fn(F))
 
     __call__ = evaluate
+
+    def evaluate_many(self, V) -> np.ndarray:
+        """L of every row of a (k, space.row_width) array, as a (k,) array.
+
+        Row i gives the same bits as evaluate on the function of row i.
+        """
+        V = np.asarray(V, dtype=float)
+        if V.ndim != 2 or V.shape[1] != self.space.row_width:
+            raise ValidationError(
+                f"function rows must form a (k, {self.space.row_width}) array; got shape {V.shape}"
+            )
+        if not np.isfinite(V).all():
+            raise ValidationError("function values must all be finite")
+        if self._rows is not None:
+            return np.array(self._rows(V), dtype=float)
+        from_row = self.space.from_row
+        return np.array([float(self._fn(from_row(r))) for r in V], dtype=float)
 
     def __repr__(self):
         return f"FunctionalHandle({self.name!r} on {self.space!r})"
@@ -114,6 +146,14 @@ class TailDomain:
     def coords(self):
         return self.grid.coords
 
+    @property
+    def row_width(self) -> int:
+        """Grid points plus one last column for the tail value."""
+        return len(self.grid) + 1
+
+    def from_row(self, row) -> "TailFunction":
+        return self.function(row[:-1], row[-1])
+
     def __len__(self):
         return len(self.grid)
 
@@ -143,7 +183,7 @@ class TailDomain:
         return TailFunction(self.grid.pit_function(index, depth), -float(depth), self)
 
     def sample_function(self, rng: np.random.Generator, low: float, high: float) -> "TailFunction":
-        # grid values first, tail draw last; checks rely on this order
+        # grid values first, tail draw last: the same numbers as one draw over the row
         vals = rng.uniform(low, high, len(self.grid))
         return self.function(vals, float(rng.uniform(low, high)))
 
@@ -152,8 +192,13 @@ class TailDomain:
         return self.function(np.minimum(1.0, self.grid.coords / float(scale)), 1.0)
 
 
-class TailFunction:
-    """Grid samples on the half-line plus the declared limit at infinity."""
+class TailFunction(_RowOps):
+    """Grid samples on the half-line plus the declared limit at infinity.
+
+    Its row is the grid values with the tail value as one last entry, so
+    the shared row operations see the tail too: the sup distance over
+    [0, inf) includes the tail gap, and a shift moves the tail.
+    """
 
     __slots__ = ("grid_values", "tail_value", "space")
 
@@ -170,45 +215,12 @@ class TailFunction:
     def values(self) -> np.ndarray:
         return self.grid_values.values
 
+    @property
+    def row(self) -> np.ndarray:
+        return np.append(self.grid_values.values, self.tail_value)
+
     def __repr__(self):
         return f"TailFunction(tail={self.tail_value})"
-
-    def shifted(self, c: float) -> "TailFunction":
-        return TailFunction(self.grid_values.shifted(c), self.tail_value + float(c), self.space)
-
-    def scaled(self, a: float) -> "TailFunction":
-        return TailFunction(self.grid_values.scaled(a), self.tail_value * float(a), self.space)
-
-    def plus(self, other: "TailFunction") -> "TailFunction":
-        _require_same_space(self, other)
-        return TailFunction(
-            self.grid_values.plus(other.grid_values),
-            self.tail_value + other.tail_value,
-            self.space,
-        )
-
-    def pointwise_max(self, other: "TailFunction") -> "TailFunction":
-        _require_same_space(self, other)
-        return TailFunction(
-            self.grid_values.pointwise_max(other.grid_values),
-            max(self.tail_value, other.tail_value),
-            self.space,
-        )
-
-    def sup_distance(self, other: "TailFunction") -> float:
-        _require_same_space(self, other)
-        # the sup over [0, inf) sees the tail gap too
-        return max(
-            self.grid_values.sup_distance(other.grid_values),
-            abs(self.tail_value - other.tail_value),
-        )
-
-    def inf_minus(self, other: "TailFunction") -> float:
-        _require_same_space(self, other)
-        return min(
-            self.grid_values.inf_minus(other.grid_values),
-            self.tail_value - other.tail_value,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +263,8 @@ def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
     """
     log_weights, space = _coerce_measure(nu, space)
 
-    def fn(F):
-        return _lse(n * F.values + log_weights) / n
+    def rows(V):
+        return _lse(n * V + log_weights) / n
 
     def grad(values: np.ndarray) -> np.ndarray:
         z = n * values + log_weights
@@ -265,7 +277,7 @@ def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
     return FunctionalHandle(
         name,
         space,
-        fn,
+        rows=rows,
         claims_maximal=False,
         claims_convex=True,
         claims_sigma_continuous=True,
@@ -297,13 +309,13 @@ def sup_form(I: RateFunction, L0: float = 0.0) -> FunctionalHandle:
     rates = I.values[idx]
     L0 = float(L0)
 
-    def fn(F):
-        return L0 + float(np.max(F.values[idx] - rates))
+    def rows(V):
+        return L0 + (V[..., idx] - rates).max(-1)
 
     return FunctionalHandle(
         "sup_form",
         I.space,
-        fn,
+        rows=rows,
         claims_maximal=True,
         claims_convex=True,
         claims_sigma_continuous=True,
@@ -332,13 +344,13 @@ def tail_limsup(domain: TailDomain | None = None) -> FunctionalHandle:
     """
     domain = domain or TailDomain()
 
-    def fn(F):
-        return F.tail_value
+    def rows(V):
+        return V[..., -1]
 
     return FunctionalHandle(
         "tail_limsup",
         domain,
-        fn,
+        rows=rows,
         claims_maximal=True,
         claims_convex=True,
         claims_sigma_continuous=False,

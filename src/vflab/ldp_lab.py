@@ -114,9 +114,11 @@ class GridFunction:
 
 
 def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-anchor linear weights and log-gamma log weights for Binomial(n, p).
+    """Linear weights and log-gamma log weights for Binomial(n, p).
 
-    Returns (weights, log_weights) over k = 0..n.
+    Returns (weights, log_weights) over k = 0..n.  The linear weights set
+    1.0 at the mode, run the pmf ratio outward through both tails as
+    cumulative products and are divided by their exactly rounded sum.
     """
     if not 0.0 < p < 1.0:
         raise InvalidP(f"p must lie strictly between 0 and 1, got {p}")
@@ -134,29 +136,15 @@ def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
         + (n - k) * math.log1p(-p)
     )
 
-    # exact rational anchor at the mode: p = P / 2^s exactly in binary
-    P, den = float(p).as_integer_ratio()
-    s = den.bit_length() - 1
-    Q = den - P
     k0 = min(n, max(0, round(n * p)))
-    numerator = math.comb(n, k0) * P**k0 * Q ** (n - k0)
-    w = np.zeros(n + 1)
-    w[k0] = numerator / (1 << (s * n))  # big-int division rounds correctly
-
     ratio = p / (1.0 - p)
-    acc = w[k0]
-    for i in range(k0, n):
-        acc = acc * (n - i) / (i + 1) * ratio
-        w[i + 1] = acc
-        if acc == 0.0:
-            break
-    acc = w[k0]
-    for i in range(k0, 0, -1):
-        acc = acc * i / (n - i + 1) / ratio
-        w[i - 1] = acc
-        if acc == 0.0:
-            break
-    return w, log_w
+    w = np.empty(n + 1)
+    w[k0] = 1.0
+    i = k[k0:n]  # w[i + 1] / w[i] = (n - i) p / ((i + 1) (1 - p))
+    w[k0 + 1 :] = np.cumprod((n - i) / (i + 1) * ratio)
+    j = k[k0:0:-1]  # w[j - 1] / w[j] = j (1 - p) / ((n - j + 1) p)
+    w[:k0] = np.cumprod(j / (n - j + 1) / ratio)[::-1]
+    return w / math.fsum(w), log_w
 
 
 def cramer_grid_space(n: int) -> FiniteSpace:
@@ -261,7 +249,7 @@ def tightness_scan(seq: MeasureSequence, a: float) -> tuple[tuple[int, float], .
     The diagnostic is stabilization of the diameters under refinement, not
     compactness itself, which is automatic here.
     """
-    if a <= 0:
+    if not a > 0:  # refuses nan as well
         raise ValidationError("tightness threshold must be positive")
     out = []
     for entry in seq.entries:

@@ -9,6 +9,7 @@ are 1e-12 throughout; analytic tolerances live with the callers.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,23 +32,47 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lse(z: np.ndarray) -> float:
-    """log sum exp(z) over a 1-d z, shifted by its max.
+def _lse(z: np.ndarray):
+    """log sum exp(z) over the last axis, each row shifted by its max.
 
-    The package's one log-sum-exp kernel.  The k maximal terms are summed
-    apart, as log1p(rest / k) + log(k) + max, which stays accurate to the
-    last bits when they dominate (Blanchard, Higham and Higham 2021).
-    -inf entries are zero weights (all -inf gives -inf); a +inf or nan
-    maximum is returned as it is.
+    The package's one log-sum-exp kernel.  A 1-d z gives a float; a
+    (k, m) z gives a (k,) array whose rows carry the same bits as k 1-d
+    calls.  The maximal terms of a row are summed apart, as
+    log1p(rest / k) + log(k) + max, which stays accurate to the last bits
+    when they dominate (Blanchard, Higham and Higham 2021).  -inf entries
+    are zero weights (all -inf gives -inf); a +inf or nan maximum is
+    returned as it is.
     """
-    m = np.max(z)
-    if not np.isfinite(m):
-        return float(m)
-    top = z == m
-    e = np.exp(z - m)
+    one = z.ndim == 1
+    m = z.max(-1)
+    if not (math.isfinite(m) if one else np.isfinite(m).all()):
+        # non-finite maxima come out of the same formula by IEEE rules
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _lse_rows(z, m, one)
+    return _lse_rows(z, m, one)
+
+
+def _lse_rows(z: np.ndarray, m, one: bool):
+    # a 1-d z takes the scalar forms of the same steps: their axis forms
+    # cost microseconds a call, and the ascents call this in their loops
+    mk = m if one else m[..., None]
+    top = z == mk
+    e = np.exp(z - mk)
     e[top] = 0.0
-    k = np.count_nonzero(top)
-    return float(np.log1p(np.sum(e) / k) + np.log(k) + m)
+    k = np.count_nonzero(top) if one else top.sum(-1)
+    out = np.log1p(e.sum(-1) / k) + np.log(k) + m
+    return float(out) if one else out
+
+
+# rows of one stacked array are capped so that it holds about this many
+# floats; the batched checks and pit passes work through such blocks
+_BLOCK_FLOATS = 65536
+
+
+def _row_blocks(count: int, width: int):
+    """(start, stop) ranges covering count rows of the given width in blocks."""
+    step = max(1, _BLOCK_FLOATS // width)
+    return [(a, min(count, a + step)) for a in range(0, count, step)]
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -124,6 +149,14 @@ class FiniteSpace:
     @property
     def coords(self) -> np.ndarray | None:
         return self._coords
+
+    @property
+    def row_width(self) -> int:
+        """Length of a function row, the form FunctionalHandle.evaluate_many stacks."""
+        return len(self)
+
+    def from_row(self, row) -> "BoundedFunction":
+        return BoundedFunction(row, self)
 
     def __len__(self) -> int:
         return len(self.point_ids)
@@ -208,7 +241,40 @@ def _require_same_space(a, b) -> None:
         raise SpaceMismatch("operands live on different spaces")
 
 
-class BoundedFunction:
+class _RowOps:
+    """Lattice and norm operations shared by BoundedFunction and TailFunction.
+
+    A subclass provides .row and .space.from_row, so every operation is
+    one plain array operation on the row.
+    """
+
+    __slots__ = ()
+
+    def shifted(self, c: float):
+        return self.space.from_row(self.row + float(c))
+
+    def scaled(self, a: float):
+        return self.space.from_row(self.row * float(a))
+
+    def plus(self, other):
+        _require_same_space(self, other)
+        return self.space.from_row(self.row + other.row)
+
+    def pointwise_max(self, other):
+        _require_same_space(self, other)
+        return self.space.from_row(np.maximum(self.row, other.row))
+
+    def sup_distance(self, other) -> float:
+        _require_same_space(self, other)
+        return float(np.max(np.abs(self.row - other.row)))
+
+    def inf_minus(self, other) -> float:
+        """inf over points of (self - other), the left side of the positivity bound."""
+        _require_same_space(self, other)
+        return float(np.min(self.row - other.row))
+
+
+class BoundedFunction(_RowOps):
     """A real vector over the points of one space; all values finite."""
 
     __slots__ = ("values", "space")
@@ -235,31 +301,13 @@ class BoundedFunction:
     def __hash__(self):
         return hash((self.space.point_ids, self.values.tobytes()))
 
+    @property
+    def row(self) -> np.ndarray:
+        """The values themselves: one row of a stacked batch."""
+        return self.values
+
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def shifted(self, c: float) -> "BoundedFunction":
-        return BoundedFunction(self.values + float(c), self.space)
-
-    def scaled(self, a: float) -> "BoundedFunction":
-        return BoundedFunction(self.values * float(a), self.space)
-
-    def plus(self, other: "BoundedFunction") -> "BoundedFunction":
-        _require_same_space(self, other)
-        return BoundedFunction(self.values + other.values, self.space)
-
-    def pointwise_max(self, other: "BoundedFunction") -> "BoundedFunction":
-        _require_same_space(self, other)
-        return BoundedFunction(np.maximum(self.values, other.values), self.space)
-
-    def sup_distance(self, other: "BoundedFunction") -> float:
-        _require_same_space(self, other)
-        return float(np.max(np.abs(self.values - other.values)))
-
-    def inf_minus(self, other: "BoundedFunction") -> float:
-        """inf over points of (self - other), the left side of the positivity bound."""
-        _require_same_space(self, other)
-        return float(np.min(self.values - other.values))
 
 
 def pointwise_max(F, G):

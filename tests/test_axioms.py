@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -248,6 +249,20 @@ def test_trials_must_be_positive():
     L = log_integral(ProbabilityMeasure([0.5, 0.5]))
     with pytest.raises(ValidationError):
         check_monotone(L, trials=0)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("bad", [{"seed": -5}, {"seed": 1.5}, {"tol": math.nan}, {"tol": math.inf}])
+def test_bad_seed_or_tolerance_refused_before_any_draw(check, bad):
+    L = log_integral(ProbabilityMeasure([0.5, 0.5]))
+    with pytest.raises(ValidationError):
+        CHECKS[check](L, trials=5, **bad)
+
+
+def test_sigma_refuses_a_nan_tolerance():
+    L = log_integral(ProbabilityMeasure([0.5, 0.5]))
+    with pytest.raises(ValidationError):
+        check_sigma_continuity(L, vanishing_sequence(L.space), tol=math.nan)
 
 
 def test_check_registry_names():

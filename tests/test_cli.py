@@ -282,6 +282,27 @@ class TestErrorRecords:
         assert err.count("\n") == 1
         assert err.startswith("vflab: error kind=ValidationError detail=")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--functional", "{L}", "--property", "maximal", "--seed", "-5"),
+            ("check", "--functional", "{L}", "--property", "maximal", "--tol", "nan"),
+            ("check", "--functional", "{L}", "--property", "sigma", "--tol", "nan"),
+            ("tightness", "--p", "0.5", "--level", "nan"),
+            ("conjugate", "--functional", "{L}", "--measure", "{mu}", "--tol", "inf"),
+        ],
+        ids=["negative_seed", "nan_tol", "sigma_nan_tol", "nan_level", "inf_ascent_tol"],
+    )
+    def test_non_finite_or_negative_inputs_exit_2(self, tmp_path, capsys, argv):
+        files = {
+            "L": write(tmp_path, "L.json", UNIFORM2),
+            "mu": write(tmp_path, "mu.json", {"weights": [0.25, 0.75]}),
+        }
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("vflab: error kind=ValidationError detail=")
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--f", "x.json")
         assert code == 2

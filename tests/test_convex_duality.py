@@ -286,6 +286,13 @@ class TestAscentOptions:
             AscentOptions(grad_tolerance=-1.0)
         with pytest.raises(ValidationError):
             AscentOptions(max_iters=0)
+        for knob in ("step_init", "grad_tolerance", "value_cap", "finite_difference_h"):
+            with pytest.raises(ValidationError):
+                AscentOptions(**{knob: math.nan})
+        for knob in ("step_init", "grad_tolerance", "finite_difference_h"):
+            with pytest.raises(ValidationError):
+                AscentOptions(**{knob: math.inf})
+        assert AscentOptions(value_cap=math.inf).value_cap == math.inf
 
     def test_defaults(self):
         opts = AscentOptions()

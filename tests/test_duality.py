@@ -41,6 +41,10 @@ class TestPitSchedule:
             PitSchedule((-1.0, 2.0))
         with pytest.raises(ValidationError):
             PitSchedule((1.0,), stall_tolerance=0.0)
+        for bad in ({"depths": (1.0, math.nan, 4.0)}, {"depths": (1.0, math.inf)},
+                    {"stall_tolerance": math.nan}, {"divergence_slope": math.nan}):
+            with pytest.raises(ValidationError):
+                PitSchedule(**bad)
 
     def test_capped(self):
         s = PitSchedule().capped(5)
@@ -173,3 +177,5 @@ class TestSublevelSet:
             sublevel_set(rate, 0.0)
         with pytest.raises(ValidationError):
             sublevel_set(rate, -1.0)
+        with pytest.raises(ValidationError):
+            sublevel_set(rate, math.nan)

@@ -62,6 +62,20 @@ class TestBinomialWeights:
         assert np.allclose(np.exp(log_w[mask]), w[mask], rtol=1e-10)
         assert np.all(np.isfinite(log_w))  # log-gamma path never underflows
 
+    @pytest.mark.parametrize("n, p", [(200, 0.3), (333, 0.123), (64, 0.5)])
+    def test_linear_weights_match_exact_pmf(self, n, p):
+        # exact pmf comb(n, k) P^k Q^(n-k) / D for p = P / den in binary, D = den^n;
+        # integer arithmetic throughout, entries below 1e-280 (near subnormal) skipped
+        w, _ = binomial_weights(n, p)
+        P, den = float(p).as_integer_ratio()
+        D = den**n
+        for k in range(n + 1):
+            exact = math.comb(n, k) * P**k * (den - P) ** (n - k)
+            if exact * 10**280 < D:
+                continue
+            a, b = float(w[k]).as_integer_ratio()
+            assert abs(a * D - exact * b) * 10**13 <= exact * b, k
+
     def test_invalid_p(self):
         for p in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidP):
@@ -269,6 +283,8 @@ class TestTightness:
         seq = cramer_sequence(0.5, [4])
         with pytest.raises(ValidationError):
             tightness_scan(seq, 0.0)
+        with pytest.raises(ValidationError):
+            tightness_scan(seq, math.nan)
 
 
 class TestSequenceInvariants:
