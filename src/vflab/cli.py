@@ -146,7 +146,7 @@ def _cmd_conjugate(args) -> int:
     L = serialize.load_functional(args.functional)
     mu = serialize.decode_measure(serialize.read_json(args.measure))
     report = conjugate_J(L, mu, _ascent_options(args), exact_gradient=args.exact_gradient)
-    log.info("conjugate value %r after %d iterations", report.value, report.iterations)
+    log.info("conjugate value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
     _emit(
         args,
         serialize.dumps(serialize.encode_conjugate_report(report)),
@@ -160,7 +160,7 @@ def _cmd_recover(args) -> int:
     space = FiniteSpace.default(len(nu.weights))
     F = _load_function_on(args.f, space)
     report = recover_L_from_J(kl_functional(nu), 0.0, F, _ascent_options(args), exact_gradient=args.exact_gradient)
-    log.info("recover value %r after %d iterations", report.value, report.iterations)
+    log.info("recover value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
     _emit(
         args,
         serialize.dumps(serialize.encode_conjugate_report(report)),
@@ -251,7 +251,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_gap)
 
-    p = sub.add_parser("conjugate", help="J(mu) = L0 + sup_F (mu(F) - L(F)) by Newton or gradient ascent")
+    p = sub.add_parser("conjugate", help="J(mu) = L0 + sup_F (mu(F) - L(F)) by ascent along (mu - dL/dF)/(dL/dF) with secant steps")
     p.add_argument("--functional", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--tol", type=float, help="gradient tolerance override")

@@ -1,11 +1,16 @@
 """Measure-level conjugates: J from L and L back from J.
 
-conjugate_J computes J(mu) = L(0) + sup_F (mu(F) - L(F)) by ascent over
-function vectors with the translation gauge pinned.  Handles with an exact
-Hessian (the log-integral family) get damped Newton steps on the pinned
-subspace; the rest get Armijo gradient steps.  For the log-integral family
-the conjugate is relative entropy, and kl_divergence / exponential_tilt
-provide the closed forms the ascent is tested against.
+Both directions run one ascent skeleton, _ascend.  Each supplies its
+objective, its gradient, its stationarity residual and a retraction; the
+skeleton measures stationarity, takes a step from a secant first trial,
+backtracks under one acceptance rule, and records why it stopped.
+
+conjugate_J computes J(mu) = L(0) + sup_F (mu(F) - L(F)) over function
+vectors with the translation gauge pinned.  Its direction (mu - p)/p is
+built from the gradient p = dL/dF alone; for the log-integral family,
+(1/n) times it is the pinned Newton step, and the secant finds that 1/n.
+For that family the conjugate is relative entropy, and kl_divergence /
+exponential_tilt provide the closed forms the ascent is tested against.
 
 recover_L_from_J goes the other way, L(F) = L0 + sup_mu (mu(F) - J(mu)),
 by entropic mirror ascent on the probability simplex: multiplicative
@@ -16,6 +21,7 @@ sub-1e-7 mass back to the boundary.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,10 +32,9 @@ from .space import BoundedFunction, ProbabilityMeasure, _lse
 
 EPS_INTERIOR = 1e-9
 BOUNDARY_SNAP = 1e-7
-_ARMIJO_C1 = 1e-4
-_STEP_CEIL = 2.0**50
+_EPS = float(np.finfo(float).eps)
+_ARMIJO_C1 = 0.1
 _STEP_FLOOR = 1e-20
-_NEWTON_C1 = 0.25
 _ROUNDING_ULPS = 16
 
 
@@ -61,18 +66,27 @@ class ConjugateReport:
 
     maximizer is a BoundedFunction for conjugate_J and a
     ProbabilityMeasure for recover_L_from_J.  iterations counts the steps
-    taken.  converged means the (projected) gradient's largest component
-    fell to grad_tolerance or below at the returned point.  Every other
-    stop reports converged = False rather than raising: running out of
-    iterations, exhausting the line search, a step that does not strictly
-    raise the value while the gradient is still above tolerance (the
-    objective is flat to float precision there), or hitting the value cap.
+    taken.  stop_reason says why the ascent ended:
+
+      stationary             the stationarity residual fell to grad_tolerance
+      stalled                a step did not strictly raise the value, and the
+                             point it reached is not stationary (the objective
+                             is flat to float precision there)
+      line_search_exhausted  no step above the floor passed the acceptance rule
+      max_iters              max_iters steps taken, the last point not stationary
+      value_cap              the value passed value_cap or overflowed; value is inf
+
+    converged is stop_reason == "stationary".  No stop raises.
     """
 
     value: float
     maximizer: object
     iterations: int
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "stationary"
 
 
 def kl_divergence(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
@@ -101,12 +115,57 @@ def exponential_tilt(nu: ProbabilityMeasure, F: BoundedFunction) -> ProbabilityM
     return ProbabilityMeasure(w / w.sum(), log_weights=z)
 
 
-def _pin(values: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "mean":
-        return values - values.mean()
-    if mode == "first":
-        return values - values[0]
-    raise ValidationError(f"unknown gauge pin {mode!r}")
+def _ascend(value, descent, retract, x, opts: AscentOptions):
+    """The one ascent loop; returns (x, value, iterations, stop_reason).
+
+    value(x) is the objective.  descent(x) gives (residual, grad, d): the
+    stationarity residual, the objective's gradient in the coordinates
+    that retract moves, and the ascent direction.  retract(x, t, d) is the
+    point reached by step t along d.
+
+    The first trial step is step_init, then a secant (Barzilai-Borwein)
+    step: the root of the slope along the last gradient, from its values
+    at both ends of the last step.  A slope that did not fall reads as
+    curvature at float resolution, so on a flat ray the step grows by
+    1/eps.  A trial is accepted when it gains a fixed share of its slope,
+    less the value's rounding error, so a step whose gain is below float
+    resolution is still taken and the residual decides.
+    """
+    val = value(x)
+    last = None  # (step, gradient) of the last step
+    stalled = False
+    iterations = 0
+    while True:
+        residual, grad, d = descent(x)
+        if residual <= opts.grad_tolerance:
+            return x, val, iterations, "stationary"
+        if stalled:
+            return x, val, iterations, "stalled"
+        if iterations == opts.max_iters:
+            return x, val, iterations, "max_iters"
+        slope = float(grad @ d)
+        step = opts.step_init
+        if last is not None:
+            t0, g0 = last
+            s0 = float(g0 @ g0)
+            if s0 > 0:
+                step = t0 * s0 / max(s0 - float(grad @ g0), _EPS * s0)
+        rounding = _ROUNDING_ULPS * _EPS * (1.0 + abs(val) + float(np.max(np.abs(x))))
+        while True:
+            trial_x = retract(x, step, d)
+            trial = value(trial_x)
+            if trial >= val + _ARMIJO_C1 * step * slope - rounding:
+                break
+            step /= 2
+            if step < _STEP_FLOOR:
+                return x, val, iterations, "line_search_exhausted"
+        iterations += 1
+        if trial > opts.value_cap or trial == math.inf:
+            # an overflowed trial is no point to report: keep the last one
+            return (trial_x if trial < math.inf else x), math.inf, iterations, "value_cap"
+        stalled = not trial > val
+        last = (step, grad)
+        x, val = trial_x, trial
 
 
 def _fd_gradient_L(L, values: np.ndarray, h: float, space) -> np.ndarray:
@@ -120,101 +179,26 @@ def _fd_gradient_L(L, values: np.ndarray, h: float, space) -> np.ndarray:
     return g
 
 
-def _gradient_step(objective, values, val, g, step_init, pin):
-    """Armijo backtracking along g, expanding while the value strictly climbs.
-
-    Returns the accepted (values, value), or None once the step falls
-    below the floor.
-    """
-    gg = float(g @ g)
-    step = step_init
-    trial_vals = _pin(values + step * g, pin)
-    trial = objective(trial_vals)
-    if trial >= val + _ARMIJO_C1 * step * gg:
-        while step < _STEP_CEIL:
-            wider = step * 2
-            cand_vals = _pin(values + wider * g, pin)
-            cand = objective(cand_vals)
-            if cand >= val + _ARMIJO_C1 * wider * gg and cand > trial:
-                step, trial_vals, trial = wider, cand_vals, cand
-            else:
-                break
-        return trial_vals, trial
-    while True:
-        step /= 2
-        if step < _STEP_FLOOR:
-            return None
-        trial_vals = _pin(values + step * g, pin)
-        trial = objective(trial_vals)
-        if trial >= val + _ARMIJO_C1 * step * gg:
-            return trial_vals, trial
-
-
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """Solve (H + 11^T/m) d = g, the Newton system on the mean-zero subspace.
-
-    H is singular along the constants, which the rank-one term fixes.
-    Returns None when a diagonal entry of H vanishes to float precision
-    (a tilted-measure entry of zero): the system is singular there too.
-    """
-    diag = np.diag(H)
-    if diag.min() <= np.finfo(float).eps * diag.max():
-        return None
-    return np.linalg.solve(H + 1.0 / len(g), g)
-
-
-def _newton_step(objective, values, val, g, d, L0, pin):
-    """Damped Newton: backtrack from the full step on the decrement g.d.
-
-    A trial is accepted when it gains a fixed share of the decrement,
-    less the objective's rounding error, so a step whose gain is below
-    float resolution is still taken and the gradient decides.  Returns
-    None once the step falls below the floor.
-    """
-    decrement = float(g @ d)
-    # mu(F) and L(F) - L(0) are each at most max|F| in size for a
-    # probability mu and a translation-equivariant, monotone L
-    rounding = _ROUNDING_ULPS * np.finfo(float).eps * (
-        1.0 + abs(L0) + float(np.max(np.abs(values)))
-    )
-    step = 1.0
-    while step >= _STEP_FLOOR:
-        trial_vals = _pin(values + step * d, pin)
-        trial = objective(trial_vals)
-        if trial >= val + _NEWTON_C1 * step * decrement - rounding:
-            return trial_vals, trial
-        step /= 2
-    return None
-
-
 def conjugate_J(
     L,
     mu: ProbabilityMeasure,
     opts: AscentOptions | None = None,
     *,
     exact_gradient: bool = True,
-    pin: str = "mean",
 ) -> ConjugateReport:
     """J(mu) = L(0) + sup_F (mu(F) - L(F)) by pinned ascent.
 
-    The objective is translation-invariant, so each iterate is re-pinned
-    (mean zero by default, first coordinate zero as the alternative gauge).
-    The gradient is mu minus dL/dF; log-integral style handles expose that
-    derivative exactly as the tilted measure, otherwise central finite
-    differences step in with opts.finite_difference_h.
+    The objective is translation-invariant, so each iterate is pinned to
+    mean zero.  Its gradient is mu - p with p = dL/dF; log-integral style
+    handles expose p exactly as the tilted measure, otherwise central
+    finite differences step in with opts.finite_difference_h.
 
-    With an exact gradient and a handle Hessian, each iteration takes a
-    damped Newton step on the pinned subspace, backtracking on the Newton
-    decrement.  Without them (exact_gradient=False, or a handle with no
-    hessian), and wherever the Hessian is singular because the tilted
-    measure has a zero entry, it takes an Armijo gradient step that
-    expands while the value strictly climbs.
-
-    The ascent stops with converged = True once max|g| <= grad_tolerance.
-    It stops with converged = False when max_iters runs out, when the line
-    search exhausts its step floor, when a step fails to raise the value
-    strictly and the point reached is still not stationary, or when the
-    value exceeds value_cap, which declares J(mu) = inf.
+    The direction is (mu - p)/p, with p floored at float eps.  For
+    L(F) = (1/n) log int e^{nF} dnu the Hessian is n (diag p - p p^T), so
+    the pinned Newton step is this direction times 1/n; the secant first
+    trial of the shared skeleton finds that scale without a Hessian.
+    Where p has a zero entry under mass of mu, the floored direction
+    climbs steeply, and a value beyond value_cap declares J(mu) = inf.
     """
     opts = opts or AscentOptions()
     if not L.claims_convex:
@@ -227,50 +211,29 @@ def conjugate_J(
     if len(mu) != len(space):
         raise SpaceMismatch("measure does not match the functional's space")
     use_exact = exact_gradient and L.gradient is not None
-    hessian = L.hessian if use_exact else None
     w = mu.weights
     L0 = L.base_value
 
     def objective(values: np.ndarray) -> float:
+        if not np.isfinite(values).all():
+            return math.inf  # the step left the float range: the value is unbounded
         return float(w @ values) - L.evaluate(space.function(values)) + L0
 
-    values = _pin(np.zeros(len(space)), pin)
-    val = objective(values)
-    converged = False
-    stalled = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
+    def descent(values: np.ndarray):
         if use_exact:
-            gradL = L.gradient(values)
+            p = L.gradient(values)
         else:
-            gradL = _fd_gradient_L(L, values, opts.finite_difference_h, space)
-        g = w - gradL
-        converged = float(np.max(np.abs(g))) <= opts.grad_tolerance
-        if converged or stalled:
-            iterations -= 1  # this pass only measured the gradient
-            break
-        d = None if hessian is None else _newton_direction(hessian(values), g)
-        if d is None:
-            accepted = _gradient_step(objective, values, val, g, opts.step_init, pin)
-        else:
-            accepted = _newton_step(objective, values, val, g, d, L0, pin)
-        if accepted is None:
-            break  # line search exhausted; not converged
-        stalled = not accepted[1] > val
-        values, val = accepted
-        if val > opts.value_cap:
-            return ConjugateReport(
-                value=float("inf"),
-                maximizer=space.function(values),
-                iterations=iterations,
-                converged=False,
-            )
-    return ConjugateReport(
-        value=float(val),
-        maximizer=space.function(values),
-        iterations=iterations,
-        converged=converged,
-    )
+            p = _fd_gradient_L(L, values, opts.finite_difference_h, space)
+        g = w - p
+        return float(np.max(np.abs(g))), g, g / np.maximum(p, _EPS)
+
+    def retract(values: np.ndarray, step: float, d: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = values + step * d
+            return moved - moved.mean()
+
+    values, val, iterations, reason = _ascend(objective, descent, retract, np.zeros(len(space)), opts)
+    return ConjugateReport(val, space.function(values), iterations, reason)
 
 
 class MeasureFunctional:
@@ -380,13 +343,13 @@ def recover_L_from_J(
 ) -> ConjugateReport:
     """L(F) = L0 + sup_mu (mu(F) - J(mu)) over the probability simplex.
 
-    Entropic mirror ascent: mu <- normalize(mu * exp(step * g)).  The
-    convergence test is the KKT condition for the simplex: centered
-    gradient components vanish on the support and are nonpositive off it.
-    A step that does not strictly raise the value ends the ascent unless
-    the point it reaches passes that test.  Raises InfeasibleJ when no
-    probed start has finite J, and SpaceMismatch when J's feasible start
-    and F differ in length.
+    Entropic mirror ascent in the shared skeleton: the retraction is
+    mu <- normalize(mu * exp(step * g)), with g the gradient of
+    mu(F) - J(mu).  The stationarity residual is the KKT condition for
+    the simplex: centered gradient components vanish on the support and
+    are nonpositive off it.  Raises InfeasibleJ when no probed start has
+    finite J, and SpaceMismatch when J's feasible start and F differ in
+    length.
     """
     opts = opts or AscentOptions()
     F_vals = F.values
@@ -413,69 +376,38 @@ def recover_L_from_J(
 
     grad_hook = getattr(J, "gradient", None) if exact_gradient else None
 
-    def full_value(w: np.ndarray) -> float:
+    def objective(w: np.ndarray) -> float:
         j = _eval_J(J, w)
-        if not np.isfinite(j):
-            return -float("inf")
-        return float(L0) + float(w @ F_vals) - j
+        return float(w @ F_vals) - j if np.isfinite(j) else -math.inf
 
-    val = full_value(weights)
-    converged = False
-    stalled = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
+    def descent(w: np.ndarray):
         if grad_hook is not None:
-            g = F_vals - grad_hook(weights)
+            g = F_vals - grad_hook(w)
         else:
-            g = _tangent_objective_grad(
-                J, F_vals, weights, _eval_J(J, weights), opts.finite_difference_h
-            )
-        centered = g - float(weights @ g)
-        support = weights > BOUNDARY_SNAP
-        viol = np.where(support, np.abs(centered), np.maximum(centered, 0.0))
-        converged = float(viol.max()) <= opts.grad_tolerance
-        if converged or stalled:
-            iterations -= 1
-            break
-        step = opts.step_init
-        accepted = False
-        while step >= _STEP_FLOOR:
-            z = np.log(weights) + step * g
-            z -= z.max()
-            trial = np.exp(z)
-            trial = np.maximum(trial / trial.sum(), 1e-300)
-            trial /= trial.sum()
-            tval = full_value(trial)
-            if np.isfinite(tval) and tval >= val - 1e-15:
-                stalled = not tval > val
-                weights, val = trial, tval
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            break
-        if val - float(L0) > opts.value_cap:
-            return ConjugateReport(
-                value=float("inf"),
-                maximizer=ProbabilityMeasure(weights),
-                iterations=iterations,
-                converged=False,
-            )
+            g = _tangent_objective_grad(J, F_vals, w, _eval_J(J, w), opts.finite_difference_h)
+        centered = g - float(w @ g)
+        viol = np.where(w > BOUNDARY_SNAP, np.abs(centered), np.maximum(centered, 0.0))
+        # the mirror step moves log-weights along g, where the gradient is w * centered
+        return float(viol.max()), w * centered, g
 
-    # snap dust back onto the boundary when J still accepts the result
-    snapped = np.where(weights < BOUNDARY_SNAP, 0.0, weights)
-    total = snapped.sum()
-    if total > 0:
-        snapped = snapped / total
-        sval = full_value(snapped)
-        if np.isfinite(sval):
-            weights, val = snapped, sval
-    return ConjugateReport(
-        value=float(val),
-        maximizer=ProbabilityMeasure(weights),
-        iterations=iterations,
-        converged=converged,
-    )
+    def retract(w: np.ndarray, step: float, g: np.ndarray) -> np.ndarray:
+        z = np.log(w) + step * g
+        z -= z.max()
+        trial = np.exp(z)
+        trial = np.maximum(trial / trial.sum(), 1e-300)
+        return trial / trial.sum()
+
+    weights, val, iterations, reason = _ascend(objective, descent, retract, weights, opts)
+    if reason != "value_cap":
+        # snap dust back onto the boundary when J still accepts the result
+        snapped = np.where(weights < BOUNDARY_SNAP, 0.0, weights)
+        total = snapped.sum()
+        if total > 0:
+            snapped = snapped / total
+            sval = objective(snapped)
+            if np.isfinite(sval):
+                weights, val = snapped, sval
+    return ConjugateReport(float(L0) + val, ProbabilityMeasure(weights), iterations, reason)
 
 
 __all__ = [

@@ -27,6 +27,7 @@ from .space import (
     RateFunction,
     _RowOps,
     _lse,
+    _require_same_space,
 )
 
 
@@ -43,9 +44,10 @@ class FunctionalHandle:
     output, in evaluate and in any row of evaluate_many.  base_value
     caches L(0).  gradient, when present, maps function values to the
     exact derivative dL/dF as a weight vector (the tilted measure for the
-    log-integral family).  hessian, when present, maps function values to
-    the exact second derivative as an (m, m) matrix; conjugate_J takes
-    Newton steps with it.
+    log-integral family); conjugate_J builds its steps from it alone.
+    hessian is always None: no solver calls it, and the slot stays only
+    because the benchmark tracer reads it.  evaluate refuses a function
+    on another space with SpaceMismatch.
     """
 
     __slots__ = (
@@ -72,7 +74,6 @@ class FunctionalHandle:
         claims_convex: bool,
         claims_sigma_continuous: bool,
         gradient: Callable | None = None,
-        hessian: Callable | None = None,
     ):
         if (fn is None) == (rows is None):
             raise ValidationError("a handle needs exactly one of fn and rows")
@@ -84,11 +85,12 @@ class FunctionalHandle:
         self.claims_convex = bool(claims_convex)
         self.claims_sigma_continuous = bool(claims_sigma_continuous)
         self.gradient = gradient
-        self.hessian = hessian
+        self.hessian = None
         zero = space.zero_function()
         self.base_value = float(fn(zero) if rows is None else rows(zero.row))
 
     def evaluate(self, F) -> float:
+        _require_same_space(F, self)
         if self._rows is not None:
             return float(self._rows(F.row))
         return float(self._fn(F))
@@ -255,11 +257,10 @@ def _coerce_measure(nu, space):
 
 
 def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
-    """L(F) = (1/n) log int e^{nF} dnu with its exact derivatives.
+    """L(F) = (1/n) log int e^{nF} dnu with its exact gradient.
 
-    The gradient is the tilted measure p, proportional to e^{nF} nu; the
-    Hessian is n (diag(p) - p p^T).  Zero weights drop out as -inf log
-    weights.
+    The gradient is the tilted measure p, proportional to e^{nF} nu.  Zero
+    weights drop out as -inf log weights.
     """
     log_weights, space = _coerce_measure(nu, space)
 
@@ -270,10 +271,6 @@ def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
         z = n * values + log_weights
         return np.exp(z - _lse(z))
 
-    def hessian(values: np.ndarray) -> np.ndarray:
-        p = grad(values)
-        return n * (np.diag(p) - np.outer(p, p))
-
     return FunctionalHandle(
         name,
         space,
@@ -282,7 +279,6 @@ def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
         claims_convex=True,
         claims_sigma_continuous=True,
         gradient=grad,
-        hessian=hessian,
     )
 
 
@@ -290,8 +286,7 @@ def log_integral(nu, space: FiniteSpace | None = None) -> FunctionalHandle:
     """L(F) = log int e^F dnu, the convex non-maximal example.
 
     ldp_term at n = 1 under its own name.  The exact gradient at F is the
-    exponentially tilted measure p and the exact Hessian is
-    diag(p) - p p^T, both exposed for the conjugate ascent.
+    exponentially tilted measure p, exposed for the conjugate ascent.
     """
     return _log_family(nu, 1, "log_integral", space)
 
@@ -327,7 +322,7 @@ def ldp_term(mu, n: int, space: FiniteSpace | None = None) -> FunctionalHandle:
 
     At n = 1 this is log_integral(mu) exactly, bit for bit: both are built
     by one evaluator.  The exact gradient is the tilted measure p,
-    proportional to e^{nF} mu, and the exact Hessian is n (diag(p) - p p^T).
+    proportional to e^{nF} mu.
     """
     if n < 1 or int(n) != n:
         raise ValidationError("n must be a positive integer")

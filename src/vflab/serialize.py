@@ -219,12 +219,13 @@ def encode_conjugate_report(report) -> dict:
         "maximizer": _reals(maximizer),
         "iterations": int(report.iterations),
         "converged": bool(report.converged),
+        "stop_reason": report.stop_reason,
     }
 
 
 def conjugate_report_csv(report) -> str:
-    rows = [("value", "iterations", "converged"),
-            (report.value, int(report.iterations), bool(report.converged))]
+    rows = [("value", "iterations", "converged", "stop_reason"),
+            (report.value, int(report.iterations), bool(report.converged), report.stop_reason)]
     return _csv_text(rows)
 
 

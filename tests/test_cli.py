@@ -111,6 +111,7 @@ class TestAscentCommands:
         assert code == 3
         doc = json.loads(out)
         assert doc["value"] == "inf" and doc["converged"] is False
+        assert doc["stop_reason"] == "value_cap"
 
     def test_recover_oracle_and_fd_flag(self, tmp_path, capsys):
         m = write(tmp_path, "nu.json", {"weights": [0.5, 0.5]})
@@ -133,8 +134,9 @@ class TestAscentCommands:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "value,iterations,converged"
-        assert lines[1].endswith(",true")
+        # stop_reason trails, so the first three columns keep their places
+        assert lines[0] == "value,iterations,converged,stop_reason"
+        assert lines[1].endswith(",true,stationary")
 
 
 class TestCheck:

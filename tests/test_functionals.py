@@ -83,6 +83,18 @@ class TestLogIntegral:
         with pytest.raises(SpaceMismatch):
             log_integral(ProbabilityMeasure([0.5, 0.5]), FiniteSpace.default(3))
 
+    def test_function_of_another_length_refused(self):
+        L = log_integral(ProbabilityMeasure([0.25, 0.75]))
+        with pytest.raises(SpaceMismatch):
+            L.evaluate(FiniteSpace.default(3).function([0.0, 0.0, 0.0]))
+
+    def test_function_on_an_equal_length_space_refused(self):
+        L = log_integral(ProbabilityMeasure([0.25, 0.75]))
+        with pytest.raises(SpaceMismatch):
+            L.evaluate(FiniteSpace.from_line([5.0, 7.0]).function([0.0, 0.0]))
+        # an equal space built apart is the same space
+        assert L.evaluate(FiniteSpace.default(2).function([0.0, 0.0])) == L.base_value
+
     def test_bad_raw_weights(self):
         with pytest.raises(ValidationError):
             log_integral([1.0, -1.0])

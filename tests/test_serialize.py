@@ -202,7 +202,8 @@ class TestReports:
         nu = ProbabilityMeasure([0.5, 0.5])
         conj = conjugate_J(log_integral(nu), ProbabilityMeasure([0.75, 0.25]))
         doc = encode_conjugate_report(conj)
-        assert set(doc) == {"value", "maximizer", "iterations", "converged"}
+        assert set(doc) == {"value", "maximizer", "iterations", "converged", "stop_reason"}
+        assert doc["stop_reason"] == "stationary"
         assert len(doc["maximizer"]) == 2  # function values
 
         F = FiniteSpace.default(2).function([1.0, 0.0])
@@ -211,8 +212,8 @@ class TestReports:
         assert abs(sum(doc2["maximizer"]) - 1.0) <= 1e-9  # measure weights
 
         lines = conjugate_report_csv(conj).splitlines()
-        assert lines[0] == "value,iterations,converged"
-        assert lines[1].endswith(",true")
+        assert lines[0] == "value,iterations,converged,stop_reason"
+        assert lines[1].endswith(",true,stationary")
 
     def test_check_report_with_witness_serializes(self):
         report = check_translation(broken_translation_handle(), trials=20, seed=3)
