@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionFailed, SequenceNotVanishing, ValidationError
+from .serialize import decode_function, encode_function
 from .space import DecreasingSequence, _row_blocks, validate_decreasing
 
 DEFAULT_TOL = 1e-9
@@ -65,20 +66,6 @@ def _validate_run(trials: int, seed: int, tol: float) -> None:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     if not np.isfinite(tol):
         raise ValidationError(f"tolerance must be finite, got {tol!r}")
-
-
-def _encode_function(fn) -> dict:
-    payload = {"values": [float(v) for v in fn.values]}
-    tail = getattr(fn, "tail_value", None)
-    if tail is not None:
-        payload["tail_value"] = float(tail)
-    return payload
-
-
-def _decode_function(domain, payload: dict):
-    if "tail_value" in payload:
-        return domain.function(payload["values"], payload["tail_value"])
-    return domain.function(payload["values"])
 
 
 def _draw(rngs, *fields) -> dict:
@@ -190,7 +177,7 @@ def _run_paired_check(name: str, L, trials: int, seed: int, tol: float) -> Check
     witness = None
     if violations > 0:
         witness = {
-            k: (_encode_function(domain.from_row(v)) if np.ndim(v) else float(v))
+            k: (encode_function(domain.from_row(v)) if np.ndim(v) else float(v))
             for k, v in worst_rows.items()
         }
         witness["trial"] = worst_trial
@@ -261,7 +248,7 @@ def check_sigma_continuity(L, seq, tol: float = DEFAULT_TOL) -> CheckReport:
     witness = None
     if violations:
         witness = {
-            "last_term": _encode_function(seq.terms[-1]),
+            "last_term": encode_function(seq.terms[-1]),
             "residual": seq.residual,
             "trajectory": [float(v) for v in trajectory],
             "base_value": float(L.base_value),
@@ -330,12 +317,12 @@ def reevaluate_witness(L, report: CheckReport) -> float:
     domain = L.space
     name = report.property_name
     if name == "sigma_continuity":
-        last = _decode_function(domain, w["last_term"])
+        last = decode_function(w["last_term"], domain)
         return abs(L.evaluate(last) - L.base_value) - _LIPSCHITZ_CONSTANT * w["residual"]
     if name not in _PROPERTIES:
         raise ValidationError(f"unknown property {name!r}")
     rows = {
-        k: (_decode_function(domain, v).row if isinstance(v, dict) else np.float64(v))[None]
+        k: (decode_function(v, domain).row if isinstance(v, dict) else np.float64(v))[None]
         for k, v in w.items()
         if k != "trial"
     }

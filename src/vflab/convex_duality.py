@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleJ, SpaceMismatch, ValidationError
-from .space import BoundedFunction, ProbabilityMeasure, _lse
+from .space import BoundedFunction, ProbabilityMeasure, _finite, _lse
 
 EPS_INTERIOR = 1e-9
 BOUNDARY_SNAP = 1e-7
@@ -349,8 +349,9 @@ def recover_L_from_J(
     the simplex: centered gradient components vanish on the support and
     are nonpositive off it.  Raises InfeasibleJ when no probed start has
     finite J, and SpaceMismatch when J's feasible start and F differ in
-    length.
+    length; a non-finite L0 is a ValidationError.
     """
+    L0 = _finite(L0, "L0")
     opts = opts or AscentOptions()
     F_vals = F.values
     m = len(F_vals)
@@ -407,7 +408,7 @@ def recover_L_from_J(
             sval = objective(snapped)
             if np.isfinite(sval):
                 weights, val = snapped, sval
-    return ConjugateReport(float(L0) + val, ProbabilityMeasure(weights), iterations, reason)
+    return ConjugateReport(L0 + val, ProbabilityMeasure(weights), iterations, reason)
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllInfiniteRate, ValidationError
-from .space import BoundedFunction, RateFunction, _row_blocks
+from .space import BoundedFunction, RateFunction, _finite, _require_same_space, _row_blocks
 
 # values in (-1e-12, 0) coming out of the L(0) cancellation collapse to 0.0
 # so RateFunction's nonnegativity accepts them
@@ -139,7 +139,7 @@ def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray
     values = L.base_value + prev
     values[(-_NEGATIVE_CLAMP < values) & (values < 0.0)] = 0.0
     values[divergent] = math.inf
-    labels = _grid_space(L.space).point_ids
+    labels = L.space.point_ids
     convergence = [
         PointConvergence(labels[i], float(dp), float(inc), bool(div))
         for i, dp, inc, div in zip(indices, depth, increment, divergent)
@@ -154,15 +154,9 @@ def dual_rate_at(L, point, sched: PitSchedule | None = None) -> float:
     through the final depth.  Single-point spaces give exactly 0.
     """
     sched = sched or PitSchedule()
-    # resolve through the underlying finite grid so labels and ints both work
-    index = _grid_space(L.space).index_of(point)
+    index = L.space.index_of(point)
     values, _ = _dual_points(L, np.array([index]), sched)
     return float(values[0])
-
-
-def _grid_space(domain):
-    # TailDomain exposes its finite grid; FiniteSpace is its own grid
-    return getattr(domain, "grid", domain)
 
 
 def dual_rate(L, sched: PitSchedule | None = None) -> DualReport:
@@ -173,10 +167,10 @@ def dual_rate(L, sched: PitSchedule | None = None) -> DualReport:
     Points go through in blocks of stacked pit rows.
     """
     sched = sched or PitSchedule()
-    space = _grid_space(L.space)
+    space = L.space
     values = np.empty(len(space))
     convergence = []
-    for a, b in _row_blocks(len(space), L.space.row_width):
+    for a, b in _row_blocks(len(space), space.row_width):
         values[a:b], conv = _dual_points(L, np.arange(a, b), sched)
         convergence.extend(conv)
     return DualReport(
@@ -191,9 +185,8 @@ def reconstruct(rate: RateFunction, L0: float, F: BoundedFunction) -> float:
     finite = rate.finite_mask()
     if not finite.any():
         raise AllInfiniteRate("cannot reconstruct from an all-infinite rate")
-    if F.space is not rate.space and F.space != rate.space:
-        raise ValidationError("rate and function live on different spaces")
-    return float(L0) + float(np.max(F.values[finite] - rate.values[finite]))
+    _require_same_space(F.space, rate.space)
+    return _finite(L0, "L0") + float(np.max(F.values[finite] - rate.values[finite]))
 
 
 def representation_gap(

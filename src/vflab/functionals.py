@@ -25,7 +25,8 @@ from .space import (
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
-    _RowOps,
+    _finite,
+    _freeze,
     _lse,
     _require_same_space,
 )
@@ -90,7 +91,7 @@ class FunctionalHandle:
         self.base_value = float(fn(zero) if rows is None else rows(zero.row))
 
     def evaluate(self, F) -> float:
-        _require_same_space(F, self)
+        _require_same_space(F.space, self.space)
         if self._rows is not None:
             return float(self._rows(F.row))
         return float(self._fn(F))
@@ -125,104 +126,56 @@ class FunctionalHandle:
 DEFAULT_TAIL_GRID = np.linspace(0.0, 10.0, 513)
 
 
-class TailDomain:
+class TailDomain(FiniteSpace):
     """A finite grid on [0, inf) plus the point at infinity, implicitly.
 
-    Functions on it are TailFunction: grid samples plus a declared constant
-    value beyond the last grid point.
+    The line space over its grid, except that a function row has one more
+    column, the declared constant value beyond the last grid point;
+    functions on it are TailFunction.  It never equals the line space over
+    its grid, which .grid holds.
     """
 
     __slots__ = ("grid",)
 
     def __init__(self, grid_coords=None):
-        coords = DEFAULT_TAIL_GRID if grid_coords is None else np.array(grid_coords, float)
+        grid = FiniteSpace.from_line(DEFAULT_TAIL_GRID if grid_coords is None else grid_coords)
+        coords = grid.coords
         if np.any(np.diff(coords) <= 0) or coords[0] < 0:
             raise ValidationError("tail grid must be increasing and nonnegative")
-        self.grid = FiniteSpace.from_line(coords)
-
-    @property
-    def point_ids(self):
-        return self.grid.point_ids
-
-    @property
-    def coords(self):
-        return self.grid.coords
+        super().__init__(grid.point_ids, _coords=coords)
+        self.grid = grid
 
     @property
     def row_width(self) -> int:
         """Grid points plus one last column for the tail value."""
-        return len(self.grid) + 1
+        return len(self) + 1
 
     def from_row(self, row) -> "TailFunction":
         return self.function(row[:-1], row[-1])
 
-    def __len__(self):
-        return len(self.grid)
-
-    def __eq__(self, other):
-        if not isinstance(other, TailDomain):
-            return NotImplemented
-        return self.grid == other.grid
-
-    def __hash__(self):
-        return hash(self.grid)
-
-    def __repr__(self):
-        return f"TailDomain({len(self.grid)} grid points)"
-
     def function(self, values, tail_value: float) -> "TailFunction":
-        return TailFunction(self.grid.function(values), float(tail_value), self)
-
-    def zero_function(self) -> "TailFunction":
-        return self.function(np.zeros(len(self.grid)), 0.0)
-
-    def constant_function(self, c: float) -> "TailFunction":
-        return self.function(np.full(len(self.grid), float(c)), c)
-
-    def pit_function(self, index: int, depth: float) -> "TailFunction":
-        # the pit drops to -depth beyond the grid as well; only then does the
-        # limsup see it
-        return TailFunction(self.grid.pit_function(index, depth), -float(depth), self)
-
-    def sample_function(self, rng: np.random.Generator, low: float, high: float) -> "TailFunction":
-        # grid values first, tail draw last: the same numbers as one draw over the row
-        vals = rng.uniform(low, high, len(self.grid))
-        return self.function(vals, float(rng.uniform(low, high)))
+        return TailFunction(self.grid.function(values), tail_value, self)
 
     def ramp(self, scale: float) -> "TailFunction":
         """min(1, x/scale): the classical escaping-to-infinity witness."""
-        return self.function(np.minimum(1.0, self.grid.coords / float(scale)), 1.0)
+        return self.function(np.minimum(1.0, self.coords / float(scale)), 1.0)
 
 
-class TailFunction(_RowOps):
+class TailFunction(BoundedFunction):
     """Grid samples on the half-line plus the declared limit at infinity.
 
-    Its row is the grid values with the tail value as one last entry, so
-    the shared row operations see the tail too: the sup distance over
-    [0, inf) includes the tail gap, and a shift moves the tail.
+    values are the grid samples; the row appends the tail value as one
+    last column, so the row operations see the tail too: the sup distance
+    over [0, inf) includes the tail gap, and a shift moves the tail.
     """
 
-    __slots__ = ("grid_values", "tail_value", "space")
+    __slots__ = ("tail_value", "row")
 
     def __init__(self, grid_values: BoundedFunction, tail_value: float, domain: TailDomain):
-        if grid_values.space is not domain.grid and grid_values.space != domain.grid:
-            raise SpaceMismatch("grid values do not live on the domain's grid")
-        if not np.isfinite(tail_value):
-            raise ValidationError("tail value must be finite")
-        self.grid_values = grid_values
-        self.tail_value = float(tail_value)
-        self.space = domain
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid_values.values
-
-    @property
-    def row(self) -> np.ndarray:
-        return np.append(self.grid_values.values, self.tail_value)
-
-    def __repr__(self):
-        return f"TailFunction(tail={self.tail_value})"
+        _require_same_space(grid_values.space, domain.grid)
+        super().__init__(grid_values.values, domain)
+        self.tail_value = _finite(tail_value, "tail value")
+        self.row = _freeze(np.append(self.values, self.tail_value))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +255,7 @@ def sup_form(I: RateFunction, L0: float = 0.0) -> FunctionalHandle:
         raise AllInfiniteRate("sup_form needs at least one finite rate entry")
     idx = np.nonzero(finite)[0]
     rates = I.values[idx]
-    L0 = float(L0)
+    L0 = _finite(L0, "L0")
 
     def rows(V):
         return L0 + (V[..., idx] - rates).max(-1)

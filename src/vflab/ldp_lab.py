@@ -5,12 +5,10 @@ on the grid {k/n}, the analytic rate x log(x/p) + (1-x) log((1-x)/(1-p)),
 and per-n functional values whose limit the lab extrapolates.
 
 Weight construction is hybrid.  Log weights come from log-gamma and are
-good deep into the tails; linear weights take an exact big-integer anchor
-at the mode (p has an exact binary representation, so the modal
-probability is a rational with power-of-two denominator, correctly
-rounded to one float) and spread outward by the two-term recurrence.
-That keeps the weight sum within a few ulp of 1 up to n = 2^16, which
-pure log-gamma exponentiation does not.
+good deep into the tails; linear weights start at 1.0 at the mode, run
+the pmf ratio outward as cumulative products and are divided by their
+exactly rounded sum, which keeps the weight sum within a few ulp of 1 up
+to n = 2^16, where pure log-gamma exponentiation does not.
 """
 
 from __future__ import annotations

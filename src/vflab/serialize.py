@@ -104,8 +104,8 @@ def encode_space(space: FiniteSpace) -> dict:
     doc = {"points": list(space.point_ids)}
     if space.coords is not None:
         doc["coords"] = _reals(space.coords)
-    else:
-        doc["metric"] = [[float(v) for v in row] for row in space.metric_matrix()]
+    elif space.metric is not None:
+        doc["metric"] = [[float(v) for v in row] for row in space.metric]
     return doc
 
 

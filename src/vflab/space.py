@@ -1,10 +1,12 @@
 """Finite metric spaces and the vectors living on them.
 
-A FiniteSpace is a list of labelled points with a metric, either stored as
-an explicit matrix or implied by 1-d coordinates (grids on a line).  On top
-of it sit BoundedFunction (test functions F), ProbabilityMeasure (weights)
-and RateFunction (nonnegative, possibly infinite).  Structural tolerances
-are 1e-12 throughout; analytic tolerances live with the callers.
+A FiniteSpace is a list of labelled points with a metric: a stored
+matrix, or one implied by 1-d coordinates (grids on a line) or by
+neither (the discrete metric).  On top of it sit BoundedFunction (test
+functions F, each one row of space.row_width floats; the half-line domain
+adds a tail column), ProbabilityMeasure (weights) and RateFunction
+(nonnegative, possibly infinite).  Structural tolerances are 1e-12
+throughout; analytic tolerances live with the callers.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def _lse_rows(z: np.ndarray, m, one: bool):
     # cost microseconds a call, and the ascents call this in their loops
     mk = m if one else m[..., None]
     top = z == mk
-    e = np.exp(z - mk)
+    e = z - mk
+    np.exp(e, out=e)  # in place: one block-sized temporary fewer per call
     e[top] = 0.0
     k = np.count_nonzero(top) if one else top.sum(-1)
     out = np.log1p(e.sum(-1) / k) + np.log(k) + m
@@ -82,12 +85,21 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _finite(x, name: str) -> float:
+    """float(x), refusing nan and +-inf."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 class FiniteSpace:
     """A finite metric space with opaque point labels.
 
-    Two storage modes: an explicit (n, n) metric matrix, or line
-    coordinates with metric |x_i - x_j| computed on demand.  The line mode
-    exists so grids with 2^16 + 1 points never materialize a matrix.
+    Three metric modes: an explicit (n, n) matrix, line coordinates with
+    metric |x_i - x_j|, or, with neither given, the discrete metric.  The
+    last two are computed on demand, so grids with 2^16 + 1 points and
+    large default spaces never materialize a matrix.
     """
 
     __slots__ = ("point_ids", "_matrix", "_coords", "_index")
@@ -102,19 +114,13 @@ class FiniteSpace:
         self._index = {p: i for i, p in enumerate(ids)}
         n = len(ids)
 
+        self._coords = self._matrix = None  # neither: the discrete metric
         if _coords is not None:
             coords = _as_float_array(_coords, "coords")
             if len(coords) != n or not np.all(np.isfinite(coords)):
                 raise ValidationError("coords must be finite and match the label count")
             self._coords = _freeze(coords)
-            self._matrix = None
-            return
-
-        if metric is None:
-            # discrete metric: distance 1 between distinct points; a metric
-            # by construction, so it skips the O(n^3) validation
-            m = np.ones((n, n)) - np.eye(n)
-        else:
+        elif metric is not None:
             m = np.array(metric, dtype=float)
             if m.shape != (n, n):
                 raise ValidationError(f"metric must be {n}x{n}")
@@ -130,8 +136,7 @@ class FiniteSpace:
             for k in range(n):
                 if np.any(m > m[:, k][:, None] + m[None, k, :] + STRUCTURAL_TOL):
                     raise ValidationError("metric violates the triangle inequality")
-        self._matrix = _freeze(m)
-        self._coords = None
+            self._matrix = _freeze(m)
 
     @classmethod
     def from_line(cls, coords, point_ids: Sequence[str] | None = None) -> "FiniteSpace":
@@ -151,12 +156,14 @@ class FiniteSpace:
         return self._coords
 
     @property
+    def metric(self) -> np.ndarray | None:
+        """The stored metric matrix; None for a line or discrete space."""
+        return self._matrix
+
+    @property
     def row_width(self) -> int:
         """Length of a function row, the form FunctionalHandle.evaluate_many stacks."""
         return len(self)
-
-    def from_row(self, row) -> "BoundedFunction":
-        return BoundedFunction(row, self)
 
     def __len__(self) -> int:
         return len(self.point_ids)
@@ -166,19 +173,19 @@ class FiniteSpace:
             return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        if self.point_ids != other.point_ids:
-            return False
-        if self._coords is not None and other._coords is not None:
-            return bool(np.array_equal(self._coords, other._coords))
-        if len(self) > 4096:
-            return False  # refuse to materialize matrices this large just for ==
-        return bool(np.array_equal(self.metric_matrix(), other.metric_matrix()))
+        # only what is stored; np.array_equal(None, x) holds for x None alone
+        return (
+            type(self) is type(other)
+            and self.point_ids == other.point_ids
+            and np.array_equal(self._coords, other._coords)
+            and np.array_equal(self._matrix, other._matrix)
+        )
 
     def __hash__(self):
         return hash(self.point_ids)
 
     def __repr__(self):
-        return f"FiniteSpace({len(self)} points)"
+        return f"{type(self).__name__}({len(self)} points)"
 
     def index_of(self, point) -> int:
         """Resolve a point given as label or integer index."""
@@ -195,12 +202,16 @@ class FiniteSpace:
     def distance(self, i: int, j: int) -> float:
         if self._coords is not None:
             return abs(float(self._coords[i] - self._coords[j]))
-        return float(self._matrix[i, j])
+        if self._matrix is not None:
+            return float(self._matrix[i, j])
+        return float(i != j)
 
     def metric_matrix(self) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
         c = self._coords
+        if c is None:
+            return np.ones((len(self), len(self))) - np.eye(len(self))
         return np.abs(c[:, None] - c[None, :])
 
     def subset_diameter(self, indices: Iterable[int]) -> float:
@@ -211,71 +222,50 @@ class FiniteSpace:
         if self._coords is not None:
             c = self._coords[idx]
             return float(c.max() - c.min())
-        sub = self._matrix[np.ix_(idx, idx)]
-        return float(sub.max())
+        if self._matrix is not None:
+            return float(self._matrix[np.ix_(idx, idx)].max())
+        return float(len(np.unique(idx)) > 1)
 
-    # -- function plumbing used across modules --
+    # -- functions, each built from one row of row_width floats --
 
     def function(self, values) -> "BoundedFunction":
         return BoundedFunction(values, self)
 
+    # a plain space's row is the function's values
+    from_row = function
+
     def zero_function(self) -> "BoundedFunction":
-        return BoundedFunction(np.zeros(len(self)), self)
+        return self.constant_function(0.0)
 
     def constant_function(self, c: float) -> "BoundedFunction":
-        return BoundedFunction(np.full(len(self), float(c)), self)
+        return self.from_row(np.full(self.row_width, float(c)))
 
     def pit_function(self, index: int, depth: float) -> "BoundedFunction":
-        """The test function equal to 0 at one point and -depth elsewhere."""
-        v = np.full(len(self), -float(depth))
-        v[index] = 0.0
-        return BoundedFunction(v, self)
+        """The test function equal to 0 at one point and -depth elsewhere.
+
+        Every column past the points sits at -depth too: a tail domain's
+        limsup sees the pit only then.
+        """
+        row = np.full(self.row_width, -float(depth))
+        row[index] = 0.0
+        return self.from_row(row)
 
     def sample_function(self, rng: np.random.Generator, low: float, high: float) -> "BoundedFunction":
-        return BoundedFunction(rng.uniform(low, high, len(self)), self)
+        return self.from_row(rng.uniform(low, high, self.row_width))
 
 
-def _require_same_space(a, b) -> None:
-    sa, sb = a.space, b.space
+def _require_same_space(sa, sb) -> None:
     if sa is not sb and sa != sb:
         raise SpaceMismatch("operands live on different spaces")
 
 
-class _RowOps:
-    """Lattice and norm operations shared by BoundedFunction and TailFunction.
+class BoundedFunction:
+    """A real vector over the points of one space; all values finite.
 
-    A subclass provides .row and .space.from_row, so every operation is
-    one plain array operation on the row.
+    Every operation is one plain array operation on the row (see .row),
+    rebuilt through space.from_row, so a subclass whose row carries more
+    columns than the points gets the same operations on all of them.
     """
-
-    __slots__ = ()
-
-    def shifted(self, c: float):
-        return self.space.from_row(self.row + float(c))
-
-    def scaled(self, a: float):
-        return self.space.from_row(self.row * float(a))
-
-    def plus(self, other):
-        _require_same_space(self, other)
-        return self.space.from_row(self.row + other.row)
-
-    def pointwise_max(self, other):
-        _require_same_space(self, other)
-        return self.space.from_row(np.maximum(self.row, other.row))
-
-    def sup_distance(self, other) -> float:
-        _require_same_space(self, other)
-        return float(np.max(np.abs(self.row - other.row)))
-
-    def inf_minus(self, other) -> float:
-        """inf over points of (self - other), the left side of the positivity bound."""
-        _require_same_space(self, other)
-        return float(np.min(self.row - other.row))
-
-
-class BoundedFunction(_RowOps):
-    """A real vector over the points of one space; all values finite."""
 
     __slots__ = ("values", "space")
 
@@ -291,15 +281,15 @@ class BoundedFunction(_RowOps):
         self.space = space
 
     def __repr__(self):
-        return f"BoundedFunction({np.array2string(self.values, threshold=8)})"
+        return f"{type(self).__name__}({np.array2string(self.row, threshold=8)})"
 
     def __eq__(self, other):
         if not isinstance(other, BoundedFunction):
             return NotImplemented
-        return self.space == other.space and bool(np.array_equal(self.values, other.values))
+        return self.space == other.space and bool(np.array_equal(self.row, other.row))
 
     def __hash__(self):
-        return hash((self.space.point_ids, self.values.tobytes()))
+        return hash((self.space.point_ids, self.row.tobytes()))
 
     @property
     def row(self) -> np.ndarray:
@@ -307,11 +297,34 @@ class BoundedFunction(_RowOps):
         return self.values
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.row)))
+
+    def shifted(self, c: float):
+        return self.space.from_row(self.row + float(c))
+
+    def scaled(self, a: float):
+        return self.space.from_row(self.row * float(a))
+
+    def plus(self, other):
+        _require_same_space(self.space, other.space)
+        return self.space.from_row(self.row + other.row)
+
+    def pointwise_max(self, other):
+        _require_same_space(self.space, other.space)
+        return self.space.from_row(np.maximum(self.row, other.row))
+
+    def sup_distance(self, other) -> float:
+        _require_same_space(self.space, other.space)
+        return float(np.max(np.abs(self.row - other.row)))
+
+    def inf_minus(self, other) -> float:
+        """inf over points of (self - other), the left side of the positivity bound."""
+        _require_same_space(self.space, other.space)
+        return float(np.min(self.row - other.row))
 
 
 def pointwise_max(F, G):
-    """Pointwise maximum F v G; works for any function type sharing a space."""
+    """Pointwise maximum F v G of two functions on one space."""
     return F.pointwise_max(G)
 
 
@@ -423,9 +436,10 @@ class RateFunction:
 class DecreasingSequence:
     """Validated container for F_1 >= F_2 >= ... >= 0 aiming at zero.
 
-    Build through validate_decreasing; residual is the sup-norm of the last
-    term over the sampled grid (declared tail values of half-line functions
-    are deliberately not folded in: the sigma check reads them through the
+    Build through validate_decreasing, which orders whole rows, so a
+    half-line function's tail column must decrease too.  residual is the
+    sup-norm of the last term over the points only (a declared tail value
+    is deliberately not folded in: the sigma check reads it through the
     functional itself).
     """
 
@@ -439,40 +453,26 @@ class DecreasingSequence:
         return len(self.terms)
 
 
-def _term_grid_values(term) -> np.ndarray:
-    # BoundedFunction has .values; TailFunction mirrors the same attribute
-    return term.values
-
-
 def validate_decreasing(seq) -> DecreasingSequence:
     """Check a list of functions is pointwise nonincreasing and nonnegative.
 
-    Raises NotMonotone with the first violating term index and point label,
-    or NegativeTerm; otherwise returns the sequence with its residual.
+    Raises NotMonotone with the first violating term index and point label
+    ("tail" for a tail column), or NegativeTerm; otherwise returns the
+    sequence with its residual.
     """
     terms = list(seq)
     if not terms:
         raise ValidationError("empty sequence")
-    first = terms[0]
-    labels = first.space.point_ids
+    space = terms[0].space
+    # a row column past the points is a tail column
+    labels = space.point_ids + ("tail",)
     for k, term in enumerate(terms):
-        if k > 0:
-            _require_same_space(first, term)
-        vals = _term_grid_values(term)
-        if np.any(vals < 0):
+        _require_same_space(space, term.space)
+        if np.any(term.row < 0):
             raise NegativeTerm(f"term {k} has a negative value")
-        tail = getattr(term, "tail_value", None)
-        if tail is not None and tail < 0:
-            raise NegativeTerm(f"term {k} has a negative tail value")
     for k in range(1, len(terms)):
-        prev = _term_grid_values(terms[k - 1])
-        cur = _term_grid_values(terms[k])
-        bad = np.nonzero(cur > prev)[0]
+        bad = np.nonzero(terms[k].row > terms[k - 1].row)[0]
         if len(bad):
             raise NotMonotone(k, labels[int(bad[0])])
-        pt = getattr(terms[k - 1], "tail_value", None)
-        ct = getattr(terms[k], "tail_value", None)
-        if pt is not None and ct is not None and ct > pt:
-            raise NotMonotone(k, "tail")
-    residual = float(np.max(np.abs(_term_grid_values(terms[-1]))))
+    residual = float(np.max(np.abs(terms[-1].values)))
     return DecreasingSequence(terms, residual)

@@ -46,9 +46,9 @@ from vflab.axioms import (
     PERTURB_HIGH,
     PERTURB_LOW,
     _INTERPOLATION_THETAS,
-    _encode_function,
 )
 from vflab.errors import PreconditionFailed, ValidationError
+from vflab.serialize import encode_function as _encode_function
 from vflab.space import _lse
 
 # past one block of tail rows (127 rows of width 514), so block joins are covered

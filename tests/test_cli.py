@@ -292,13 +292,30 @@ class TestErrorRecords:
             ("check", "--functional", "{L}", "--property", "sigma", "--tol", "nan"),
             ("tightness", "--p", "0.5", "--level", "nan"),
             ("conjugate", "--functional", "{L}", "--measure", "{mu}", "--tol", "inf"),
+            ("eval", "--functional", "{S_nan}", "--f", "{F}"),
+            ("eval", "--functional", "{S_inf}", "--f", "{F}"),
+            ("reconstruct", "--rate", "{rate_nan}", "--f", "{F}"),
+            ("reconstruct", "--rate", "{rate_inf}", "--f", "{F}"),
+            ("check", "--functional", "{S_nan}", "--property", "monotone"),
+            ("gap", "--functional", "{S_inf}", "--f", "{F}"),
+            ("dual", "--functional", "{T_empty}"),
         ],
-        ids=["negative_seed", "nan_tol", "sigma_nan_tol", "nan_level", "inf_ascent_tol"],
+        ids=[
+            "negative_seed", "nan_tol", "sigma_nan_tol", "nan_level", "inf_ascent_tol",
+            "eval_nan_L0", "eval_inf_L0", "reconstruct_nan_L0", "reconstruct_inf_L0",
+            "check_nan_L0", "gap_inf_L0", "empty_tail_grid",
+        ],
     )
     def test_non_finite_or_negative_inputs_exit_2(self, tmp_path, capsys, argv):
         files = {
             "L": write(tmp_path, "L.json", UNIFORM2),
             "mu": write(tmp_path, "mu.json", {"weights": [0.25, 0.75]}),
+            "F": write(tmp_path, "F.json", {"values": [0.0, 0.5, 1.0]}),
+            "S_nan": write(tmp_path, "S_nan.json", dict(SUP3, L0="nan")),
+            "S_inf": write(tmp_path, "S_inf.json", dict(SUP3, L0="inf")),
+            "rate_nan": write(tmp_path, "rate_nan.json", {"L0": "nan", "rate": [0.0, 1.0, "inf"]}),
+            "rate_inf": write(tmp_path, "rate_inf.json", {"L0": "inf", "rate": [0.0, 1.0, "inf"]}),
+            "T_empty": write(tmp_path, "T_empty.json", {"kind": "tail_limsup", "grid": []}),
         }
         code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert code == 2 and out == ""
@@ -350,6 +367,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "eval" in proc.stdout and "tightness" in proc.stdout
+
+    def test_gap_with_infinite_l0_writes_one_line(self, tmp_path):
+        # a fresh process shows what pytest's warning capture would hide
+        f = write(tmp_path, "S.json", dict(SUP3, L0="inf"))
+        g = write(tmp_path, "F.json", {"values": [0.0, 0.5, 1.0]})
+        argv = [sys.executable, "-m", "vflab", "gap", "--functional", f, "--f", g]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("vflab: error kind=ValidationError detail=")
 
     def test_module_subprocess_twice_identical(self, tmp_path):
         f = write(tmp_path, "L.json", SUP3)

@@ -322,6 +322,12 @@ class TestRecover:
         assert report.maximizer.weights.tolist() == [1.0, 0.0]
         assert report.value == 1.25
 
+    @pytest.mark.parametrize("L0", [np.nan, np.inf])
+    def test_non_finite_l0_rejected(self, L0):
+        F = FiniteSpace.default(2).function([0.0, 0.0])
+        with pytest.raises(ValidationError):
+            recover_L_from_J(kl_functional(ProbabilityMeasure([0.5, 0.5])), L0, F)
+
     def test_start_length_mismatch_raises(self):
         F = FiniteSpace.default(3).function([0.0, 0.0, 0.0])
         with pytest.raises(SpaceMismatch):

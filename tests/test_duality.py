@@ -123,6 +123,13 @@ class TestReconstruct:
         with pytest.raises(ValidationError):
             reconstruct(rate, 0.0, F)
 
+    @pytest.mark.parametrize("L0", [np.nan, np.inf])
+    def test_non_finite_l0_rejected(self, L0):
+        space = FiniteSpace.default(2)
+        rate = RateFunction([0.0, 1.0], space)
+        with pytest.raises(ValidationError):
+            reconstruct(rate, L0, space.function([0.0, 0.0]))
+
 
 class TestRepresentationGap:
     def test_sup_form_has_zero_gap(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,12 @@ class TestSupForm:
         with pytest.raises(AllInfiniteRate):
             sup_form(I)
 
+    @pytest.mark.parametrize("L0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_l0_rejected(self, L0):
+        I = RateFunction([0.0, 1.0], FiniteSpace.default(2))
+        with pytest.raises(ValidationError):
+            sup_form(I, L0)
+
     @given(
         st.lists(st.floats(-5, 5), min_size=4, max_size=4),
         st.lists(st.floats(-5, 5), min_size=4, max_size=4),
@@ -207,6 +214,8 @@ class TestTailDomain:
             TailDomain([1.0, 1.0])
         with pytest.raises(ValidationError):
             TailDomain([-1.0, 2.0])
+        with pytest.raises(ValidationError):
+            TailDomain([])
 
     def test_tail_value_must_be_finite(self):
         d = TailDomain([0.0, 1.0])
@@ -238,6 +247,18 @@ class TestTailDomain:
         with pytest.raises(SpaceMismatch):
             TailFunction(other, 0.0, d)
 
+    def test_functions_differing_only_in_the_tail_are_unequal(self):
+        d = TailDomain([0.0, 1.0])
+        F, G = d.function([1.0, 2.0], 0.5), d.function([1.0, 2.0], 0.25)
+        assert F != G and F.values.tolist() == G.values.tolist()
+        assert F == d.function([1.0, 2.0], 0.5)
+        assert hash(F) == hash(d.function([1.0, 2.0], 0.5))
+
+    def test_grid_function_refused(self):
+        d = TailDomain([0.0, 1.0])
+        with pytest.raises(SpaceMismatch):
+            tail_limsup(d).evaluate(FiniteSpace.from_line([0.0, 1.0]).function([0.0, 0.0]))
+
     def test_default_grid_shape(self):
         d = TailDomain()
         assert len(d) == 513
@@ -248,3 +269,22 @@ def test_evaluate_deterministic(builtin_handle):
     rng = np.random.default_rng(123)
     F = builtin_handle.space.sample_function(rng, -5, 5)
     assert builtin_handle(F) == builtin_handle(F)
+
+
+def test_large_default_space_evaluates_a_separately_built_function():
+    w = np.full(5000, 1.0 / 5000)
+    L = log_integral(w, FiniteSpace.default(5000))
+    assert L.evaluate(FiniteSpace.default(5000).zero_function()) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_default_space_stores_no_matrix():
+    w = np.full(4096, 1.0 / 4096)
+    tracemalloc.start()
+    try:
+        L = log_integral(w, FiniteSpace.default(4096))
+        value = L.evaluate(FiniteSpace.default(4096).zero_function())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert peak < 4 * 2**20  # one 4096 x 4096 float matrix is 128 MB

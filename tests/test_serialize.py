@@ -83,6 +83,13 @@ class TestSpace:
         assert back == space
         assert back.coords is None
 
+    def test_discrete_space_round_trip(self):
+        # the discrete metric is implied, so the document carries labels only
+        space = FiniteSpace.default(3)
+        doc = encode_space(space)
+        assert doc == {"points": ["x1", "x2", "x3"]}
+        assert decode_space(doc) == space
+
     def test_missing_points_rejected(self):
         with pytest.raises(ParseError) as exc:
             decode_space({"coords": [0.0]})

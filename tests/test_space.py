@@ -87,6 +87,19 @@ class TestFiniteSpace:
         assert a == b and a != c
         assert FiniteSpace.default(2) != FiniteSpace.default(3)
 
+    def test_large_default_spaces_compare_equal(self):
+        # the discrete metric is implied, so == has no matrix to compare
+        a, b = FiniteSpace.default(5000), FiniteSpace.default(5000)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.distance(0, 4999) == 1.0 and a.subset_diameter([3, 3]) == 0.0
+        assert FiniteSpace.default(3).metric_matrix().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+    def test_tail_domain_never_equals_its_grid(self):
+        g = [0.0, 0.5, 2.0]
+        assert TailDomain(g) != FiniteSpace.from_line(g)
+        assert FiniteSpace.from_line(g) != TailDomain(g)
+        assert TailDomain(g) == TailDomain(g)
+
     def test_pit_function(self):
         s = FiniteSpace.default(3)
         pit = s.pit_function(1, 8.0)
