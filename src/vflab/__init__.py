@@ -66,10 +66,10 @@ from .ldp_lab import (
     empirical_rate,
     empirical_rate_at,
     estimate_limit,
-    ingest_sequence,
     ldp_value,
     tightness_scan,
 )
+from .serialize import load_measure_sequence as ingest_sequence
 from .space import (
     BoundedFunction,
     DecreasingSequence,

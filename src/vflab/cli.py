@@ -19,7 +19,7 @@ from .axioms import DEFAULT_TOL, CHECKS, check_sigma_continuity, vanishing_seque
 from .convex_duality import AscentOptions, conjugate_J, kl_functional, recover_L_from_J
 from .duality import PitSchedule, dual_rate, reconstruct
 from .errors import VflabError
-from .ldp_lab import cramer_sequence, estimate_limit, ingest_sequence, tightness_scan
+from .ldp_lab import cramer_sequence, estimate_limit, tightness_scan
 from .space import FiniteSpace
 
 log = logging.getLogger("vflab")
@@ -53,8 +53,16 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _emit(args, json_text: str, csv_text: str) -> None:
-    text = csv_text if args.format == "csv" else json_text
+def _emit(args, doc: dict, table=None) -> None:
+    """Write the report in the format asked for, rendering only that one.
+
+    JSON is doc; CSV is table() for reports with a row table of their
+    own, else doc's scalar fields as one row.
+    """
+    if args.format == "csv":
+        text = table() if table is not None else serialize.flat_csv(doc)
+    else:
+        text = serialize.dumps(doc)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -104,7 +112,7 @@ def _cmd_eval(args) -> int:
     F = _load_function_on(args.f, L.space)
     value = L.evaluate(F)
     log.info("eval %s -> %r", L.name, value)
-    _emit(args, serialize.dumps(serialize.encode_value(value)), serialize.value_csv(value))
+    _emit(args, serialize.encode_value(value))
     return 0
 
 
@@ -113,7 +121,7 @@ def _cmd_dual(args) -> int:
     sched = _parse_depth_schedule(args)
     log.info("dual of %s over %d depths", L.name, len(sched.depths))
     report = dual_rate(L, sched)
-    _emit(args, serialize.dumps(serialize.encode_dual_report(report)), serialize.dual_report_csv(report))
+    _emit(args, serialize.encode_dual_report(report), lambda: serialize.dual_report_csv(report))
     return 0
 
 
@@ -121,7 +129,7 @@ def _cmd_reconstruct(args) -> int:
     L0, rate = serialize.decode_rate(serialize.read_json(args.rate))
     F = _load_function_on(args.f, rate.space)
     value = reconstruct(rate, L0, F)
-    _emit(args, serialize.dumps(serialize.encode_value(value)), serialize.value_csv(value))
+    _emit(args, serialize.encode_value(value))
     return 0
 
 
@@ -134,11 +142,7 @@ def _cmd_gap(args) -> int:
     recon = reconstruct(report.rate, report.base_value, F)
     gap = value - recon
     log.info("gap %r = %r - %r", gap, value, recon)
-    _emit(
-        args,
-        serialize.dumps(serialize.encode_gap(value, recon, gap)),
-        serialize.gap_csv(value, recon, gap),
-    )
+    _emit(args, serialize.encode_gap(value, recon, gap))
     return 0
 
 
@@ -147,11 +151,7 @@ def _cmd_conjugate(args) -> int:
     mu = serialize.decode_measure(serialize.read_json(args.measure))
     report = conjugate_J(L, mu, _ascent_options(args), exact_gradient=args.exact_gradient)
     log.info("conjugate value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
-    _emit(
-        args,
-        serialize.dumps(serialize.encode_conjugate_report(report)),
-        serialize.conjugate_report_csv(report),
-    )
+    _emit(args, serialize.encode_conjugate_report(report))
     return 0 if report.converged else 3
 
 
@@ -161,11 +161,7 @@ def _cmd_recover(args) -> int:
     F = _load_function_on(args.f, space)
     report = recover_L_from_J(kl_functional(nu), 0.0, F, _ascent_options(args), exact_gradient=args.exact_gradient)
     log.info("recover value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
-    _emit(
-        args,
-        serialize.dumps(serialize.encode_conjugate_report(report)),
-        serialize.conjugate_report_csv(report),
-    )
+    _emit(args, serialize.encode_conjugate_report(report))
     return 0 if report.converged else 3
 
 
@@ -182,11 +178,7 @@ def _cmd_check(args) -> int:
             raise _UsageError(f"unknown --property {args.property!r}; one of: {names}") from None
         report = fn(L, trials=args.trials, seed=args.seed, tol=args.tol)
     log.info("check %s: %d/%d violations", report.property_name, report.violations, report.trials)
-    _emit(
-        args,
-        serialize.dumps(serialize.encode_check_report(report)),
-        serialize.check_report_csv(report),
-    )
+    _emit(args, serialize.encode_check_report(report))
     return 1 if report.violations > 0 else 0
 
 
@@ -196,11 +188,7 @@ def _cmd_cramer(args) -> int:
     F = serialize.decode_grid_function(serialize.read_json(args.f))
     report = estimate_limit(seq, F)
     log.info("cramer extrapolated %r (converged=%s)", report.extrapolated, report.converged)
-    _emit(
-        args,
-        serialize.dumps(serialize.encode_limit_report(report)),
-        serialize.limit_report_csv(report),
-    )
+    _emit(args, serialize.encode_limit_report(report), lambda: serialize.limit_report_csv(report))
     return 0 if report.converged else 3
 
 
@@ -208,15 +196,11 @@ def _cmd_tightness(args) -> int:
     if args.p is not None:
         seq = cramer_sequence(args.p, _parse_n_schedule(args.schedule))
     elif args.measure:
-        seq = ingest_sequence(args.measure)
+        seq = serialize.load_measure_sequence(args.measure)
     else:
         raise _UsageError("tightness needs --p (Cramer instance) or --measure (sequence file)")
     pairs = tightness_scan(seq, args.level)
-    _emit(
-        args,
-        serialize.dumps(serialize.encode_tightness(args.level, pairs)),
-        serialize.tightness_csv(pairs),
-    )
+    _emit(args, serialize.encode_tightness(args.level, pairs), lambda: serialize.tightness_csv(pairs))
     return 0
 
 

@@ -58,7 +58,9 @@ class PitSchedule:
 
     def capped(self, cmax: float) -> "PitSchedule":
         """Restrict to depths <= 2**cmax."""
-        cap = 2.0**float(cmax)
+        cmax = float(cmax)
+        # every finite depth is below 2**1024, a power too large to form
+        cap = math.inf if cmax >= 1024 else 2.0**cmax
         kept = tuple(d for d in self.depths if d <= cap)
         if not kept:
             raise ValidationError("depth cap removes the whole schedule")

@@ -15,6 +15,7 @@ is the smallest class on which the limsup is computable from finite data.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 import numpy as np
@@ -277,7 +278,9 @@ def ldp_term(mu, n: int, space: FiniteSpace | None = None) -> FunctionalHandle:
     by one evaluator.  The exact gradient is the tilted measure p,
     proportional to e^{nF} mu.
     """
-    if n < 1 or int(n) != n:
+    if n > sys.float_info.max:
+        raise ValidationError("n is too large for a float")
+    if not n >= 1 or int(n) != n:
         raise ValidationError("n must be a positive integer")
     n = int(n)
     return _log_family(mu, n, f"ldp_term(n={n})", space)

@@ -2,7 +2,8 @@
 
 The Cramer instance is fully oracle-checkable: Binomial(n, p)/n measures
 on the grid {k/n}, the analytic rate x log(x/p) + (1-x) log((1-x)/(1-p)),
-and per-n functional values whose limit the lab extrapolates.
+and per-n functional values whose limit the lab extrapolates.  The
+module does no file I/O; serialize reads measure-sequence files.
 
 Weight construction is hybrid.  Log weights come from log-gamma and are
 good deep into the tails; linear weights start at 1.0 at the mode, run
@@ -13,24 +14,14 @@ to n = 2^16, where pure log-gamma exponentiation does not.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .duality import sublevel_set
-from .errors import (
-    InvalidP,
-    InvariantViolation,
-    ParseError,
-    ScheduleTooShort,
-    ValidationError,
-)
-from .space import STRUCTURAL_TOL, FiniteSpace, ProbabilityMeasure, RateFunction, _lse
+from .errors import InvalidP, InvariantViolation, ScheduleTooShort, ValidationError
+from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _lse
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
 
@@ -256,105 +247,8 @@ def tightness_scan(seq: MeasureSequence, a: float) -> tuple[tuple[int, float], .
     return tuple(out)
 
 
-INGEST_RENORM_TOL = 1e-6
-
-
-def _entry_from_parts(n, points, weights, where: str) -> SequenceEntry:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParseError(f"{where}: n must be a positive integer", field="n")
-    try:
-        pts = np.array([float(x) for x in points], dtype=float)
-        w = np.array([float(x) for x in weights], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: points and weights must be numeric lists", field="points") from None
-    if len(pts) == 0 or len(pts) != len(w):
-        raise ParseError(f"{where}: points and weights must be nonempty and equal length", field="weights")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ParseError(f"{where}: weights must be finite and nonnegative", field="weights")
-    total = float(w.sum())
-    if abs(total - 1.0) <= STRUCTURAL_TOL:
-        measure = ProbabilityMeasure(w)  # keep the stored bits for round-trips
-    elif abs(total - 1.0) <= INGEST_RENORM_TOL:
-        measure = ProbabilityMeasure(w / total, normalization=total)
-    else:
-        raise InvariantViolation(
-            f"{where}: weights sum to {total!r}, outside the {INGEST_RENORM_TOL} ingest tolerance"
-        )
-    return SequenceEntry(n=int(n), space=FiniteSpace.from_line(pts), measure=measure)
-
-
-def _ingest_json(text: str) -> MeasureSequence:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    for key in ("description", "entries"):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}", field=key)
-    if not isinstance(doc["entries"], list):
-        raise ParseError("entries must be a list", field="entries")
-    entries = []
-    for i, item in enumerate(doc["entries"]):
-        where = f"entries[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(f"{where}: entry must be an object", field="entries")
-        for key in ("n", "points", "weights"):
-            if key not in item:
-                raise ParseError(f"{where}: missing key {key!r}", field=key)
-        entries.append(_entry_from_parts(item["n"], item["points"], item["weights"], where))
-    return MeasureSequence(description=str(doc["description"]), entries=tuple(entries))
-
-
-def _ingest_csv(text: str, description: str) -> MeasureSequence:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
-    if not rows:
-        raise ParseError("empty CSV", line=1)
-    if [c.strip().lower() for c in rows[0]] != ["n", "point", "weight"]:
-        raise ParseError("expected header n,point,weight", line=1)
-    order: list[int] = []
-    groups: dict[int, list[tuple[float, float]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError("expected three columns", line=lineno)
-        try:
-            n, pt, wt = int(row[0]), float(row[1]), float(row[2])
-        except ValueError:
-            raise ParseError("malformed row", line=lineno) from None
-        if n not in groups:
-            groups[n] = []
-            order.append(n)
-        groups[n].append((pt, wt))
-    entries = [
-        _entry_from_parts(n, [p for p, _ in groups[n]], [w for _, w in groups[n]], f"n={n}")
-        for n in order
-    ]
-    return MeasureSequence(description=description, entries=tuple(entries))
-
-
-def ingest_sequence(path) -> MeasureSequence:
-    """Read a measure sequence from a JSON or CSV file.
-
-    JSON: {"description": s, "entries": [{"n", "points", "weights"}]}.
-    CSV: header n,point,weight with rows grouped by n (description falls
-    back to the file stem).  Weight sums within 1e-12 of 1 are kept
-    bit-exact; within 1e-6 they are renormalized; anything worse is an
-    InvariantViolation, as is out-of-order n.
-    """
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc.strerror or exc}") from None
-    if p.suffix.lower() == ".csv":
-        return _ingest_csv(text, p.stem)
-    return _ingest_json(text)
-
-
 __all__ = [
     "REFERENCE_GRID",
-    "INGEST_RENORM_TOL",
     "SequenceEntry",
     "MeasureSequence",
     "FitOptions",
@@ -369,5 +263,4 @@ __all__ = [
     "empirical_rate",
     "empirical_rate_at",
     "tightness_scan",
-    "ingest_sequence",
 ]

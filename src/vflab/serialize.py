@@ -1,20 +1,26 @@
-"""JSON and CSV emission plus descriptor loading for the CLI.
+"""The package's one file-format module: every JSON and CSV read and write.
 
 JSON is the canonical interchange; CSV is a lossy plot-oriented
 projection.  Infinite values render as the literal string "inf" in both
 directions (json.dumps would otherwise emit the invalid token Infinity).
-Emitters are deterministic: fixed key order, repr-based float text,
-trailing newline.
+Every list field of an input must be a JSON array of numbers (point
+labels excepted), read by one list reader.  Emitters are deterministic:
+fixed key order, repr-based float text, trailing newline; a flat
+report's CSV is the scalar fields of its JSON document.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 from .functionals import (
     FunctionalHandle,
     TailDomain,
@@ -23,7 +29,7 @@ from .functionals import (
     sup_form,
     tail_limsup,
 )
-from .ldp_lab import GridFunction, MeasureSequence
+from .ldp_lab import GridFunction, MeasureSequence, SequenceEntry
 from .space import (
     STRUCTURAL_TOL,
     BoundedFunction,
@@ -52,7 +58,10 @@ def _num(x, where: str) -> float:
     if isinstance(x, bool):
         raise ParseError(f"{where}: expected a number", field=where)
     if isinstance(x, (int, float)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an integer past the float range
+            raise ParseError(f"{where}: number too large for a float", field=where) from None
     if isinstance(x, str):
         s = x.strip().lower()
         if s in ("inf", "+inf", "infinity"):
@@ -64,6 +73,26 @@ def _num(x, where: str) -> float:
         except ValueError:
             pass
     raise ParseError(f"{where}: expected a number, got {x!r}", field=where)
+
+
+def _label(x, where: str) -> str:
+    return str(x)
+
+
+def _list(doc, key: str, owner: str, item=_num, nonempty: bool = False) -> list:
+    """doc[key] as a list, each entry read by item(entry, key) (numbers by default).
+
+    A doc that is not an object, a missing key, and a value that is not a
+    JSON array (a string included) are each a ParseError naming the field.
+    """
+    raw = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(raw, list) or (nonempty and not raw):
+        raise ParseError(f"{owner} needs a {'nonempty ' if nonempty else ''}{key!r} list", field=key)
+    return [item(x, key) for x in raw]
+
+
+def _metric_row(row, key: str) -> list:
+    return _list({key: row}, key, "space")
 
 
 def _csv_cell(x) -> str:
@@ -83,18 +112,37 @@ def _csv_text(rows) -> str:
     return "".join(",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
 
 
+def flat_csv(doc: dict) -> str:
+    """A flat report's CSV: its scalar fields in key order, as a header and one row.
+
+    Lists, objects and None stay in the JSON alone.
+    """
+    keys = [k for k, v in doc.items() if v is not None and not isinstance(v, (list, dict))]
+    return _csv_text([keys, [doc[k] for k in keys]])
+
+
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def read_json(path) -> dict:
+def _read_text(path) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc.reason}") from None
+
+
+def read_json(path) -> dict:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    # bad syntax, an integer literal past Python's digit limit, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
+        msg, line = getattr(exc, "msg", exc), getattr(exc, "lineno", None)
+        raise ParseError(f"{path}: invalid JSON: {msg}", line=line) from None
 
 
 # -- spaces, functions, measures --
@@ -109,14 +157,22 @@ def encode_space(space: FiniteSpace) -> dict:
     return doc
 
 
-def decode_space(doc) -> FiniteSpace:
-    if not isinstance(doc, dict) or "points" not in doc:
-        raise ParseError("space needs a 'points' list", field="points")
-    points = [str(p) for p in doc["points"]]
+def decode_space(doc, default_size: int | None = None) -> FiniteSpace:
+    """Space from "points" with "coords" or an optional "metric".
+
+    With default_size given, "points" may be left out: the labels then
+    default, and with no "coords" either the space is
+    FiniteSpace.default(default_size).
+    """
+    labels = None
+    if default_size is None or "points" in doc:
+        labels = _list(doc, "points", "space", _label)
     if "coords" in doc:
-        coords = [_num(c, "coords") for c in doc["coords"]]
-        return FiniteSpace.from_line(coords, points)
-    return FiniteSpace(points, metric=doc.get("metric"))
+        return FiniteSpace.from_line(_list(doc, "coords", "space"), labels)
+    if labels is None:
+        return FiniteSpace.default(default_size)
+    metric = _list(doc, "metric", "space", _metric_row) if doc.get("metric") is not None else None
+    return FiniteSpace(labels, metric=metric)
 
 
 def encode_function(F) -> dict:
@@ -129,9 +185,7 @@ def encode_function(F) -> dict:
 
 def decode_function(doc, space):
     """Function vector onto a given space; tail_value needs a half-line domain."""
-    if not isinstance(doc, dict) or "values" not in doc:
-        raise ParseError("function needs a 'values' list", field="values")
-    values = [_num(v, "values") for v in doc["values"]]
+    values = _list(doc, "values", "function")
     if "tail_value" in doc:
         if not isinstance(space, TailDomain):
             raise ParseError("tail_value given but the space has no tail", field="tail_value")
@@ -145,16 +199,19 @@ def encode_measure(mu: ProbabilityMeasure) -> dict:
     return {"weights": _reals(mu.weights)}
 
 
-def decode_measure(doc) -> ProbabilityMeasure:
-    """Weights from {"weights": [...]} or a bare list; off-by-more-than-1e-12
-    sums are normalized with the divisor recorded on the result."""
-    raw = doc.get("weights") if isinstance(doc, dict) else doc
-    if not isinstance(raw, list) or not raw:
-        raise ParseError("measure needs a nonempty 'weights' list", field="weights")
-    w = np.array([_num(x, "weights") for x in raw])
+def _measure(w: np.ndarray) -> ProbabilityMeasure:
+    # sums within 1e-12 of 1 keep their bits; others are normalized with the divisor recorded
     if abs(float(w.sum()) - 1.0) <= STRUCTURAL_TOL:
         return ProbabilityMeasure(w)
     return make_measure(w)
+
+
+def decode_measure(doc) -> ProbabilityMeasure:
+    """Weights from {"weights": [...]} or a bare list; off-by-more-than-1e-12
+    sums are normalized with the divisor recorded on the result."""
+    if isinstance(doc, list):
+        doc = {"weights": doc}
+    return _measure(np.array(_list(doc, "weights", "measure", nonempty=True)))
 
 
 # -- rates --
@@ -165,24 +222,14 @@ def encode_rate(rate: RateFunction, L0: float = 0.0) -> dict:
 
 
 def decode_rate(doc) -> tuple[float, RateFunction]:
-    """(L0, rate) from {"L0", "rate", optional "points"/"coords"}.
+    """(L0, rate) from {"L0", "rate", optional "points"/"coords"/"metric"}.
 
     A DualReport JSON is accepted directly; its convergence block is
     ignored and the space falls back to default labels.
     """
-    if not isinstance(doc, dict) or "rate" not in doc:
-        raise ParseError("rate file needs a 'rate' list", field="rate")
-    values = [_num(v, "rate") for v in doc["rate"]]
-    if "coords" in doc:
-        coords = [_num(c, "coords") for c in doc["coords"]]
-        labels = [str(p) for p in doc["points"]] if "points" in doc else None
-        space = FiniteSpace.from_line(coords, labels)
-    elif "points" in doc:
-        space = FiniteSpace([str(p) for p in doc["points"]], metric=doc.get("metric"))
-    else:
-        space = FiniteSpace.default(len(values))
-    L0 = _num(doc.get("L0", 0.0), "L0")
-    return L0, RateFunction(values, space)
+    values = _list(doc, "rate", "rate file")
+    space = decode_space(doc, default_size=len(values))
+    return _num(doc.get("L0", 0.0), "L0"), RateFunction(values, space)
 
 
 # -- reports --
@@ -223,12 +270,6 @@ def encode_conjugate_report(report) -> dict:
     }
 
 
-def conjugate_report_csv(report) -> str:
-    rows = [("value", "iterations", "converged", "stop_reason"),
-            (report.value, int(report.iterations), bool(report.converged), report.stop_reason)]
-    return _csv_text(rows)
-
-
 def encode_check_report(report) -> dict:
     doc = {
         "property": report.property_name,
@@ -258,21 +299,6 @@ def _jsonify(obj):
     return repr(obj)
 
 
-def check_report_csv(report) -> str:
-    rows = [
-        ("property", "trials", "violations", "worst_violation", "tolerance", "seed"),
-        (
-            report.property_name,
-            int(report.trials),
-            int(report.violations),
-            report.worst_violation,
-            report.tolerance,
-            int(report.seed),
-        ),
-    ]
-    return _csv_text(rows)
-
-
 def encode_measure_sequence(seq: MeasureSequence) -> dict:
     entries = []
     for e in seq.entries:
@@ -289,6 +315,86 @@ def measure_sequence_csv(seq: MeasureSequence) -> str:
         points = coords if coords is not None else e.space.point_ids
         rows += [(int(e.n), points[i], e.measure.weights[i]) for i in range(len(e.measure))]
     return _csv_text(rows)
+
+
+INGEST_RENORM_TOL = 1e-6
+
+
+def _sequence_entry(n, points: list, weights: list, where: str) -> SequenceEntry:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParseError(f"{where}: n must be a positive integer", field="n")
+    if n > sys.float_info.max:
+        raise ParseError(f"{where}: n is too large for a float", field="n")
+    w = np.array(weights, dtype=float)
+    if len(w) == 0 or len(points) != len(w):
+        raise ParseError(f"{where}: points and weights must be nonempty and equal length", field="weights")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ParseError(f"{where}: weights must be finite and nonnegative", field="weights")
+    total = float(w.sum())
+    if abs(total - 1.0) > INGEST_RENORM_TOL:
+        raise InvariantViolation(
+            f"{where}: weights sum to {total!r}, outside the {INGEST_RENORM_TOL} ingest tolerance"
+        )
+    return SequenceEntry(n=n, space=FiniteSpace.from_line(points), measure=_measure(w))
+
+
+def _csv_sequence(text: str, description: str) -> MeasureSequence:
+    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    if not rows:
+        raise ParseError("empty CSV", line=1)
+    if [c.strip().lower() for c in rows[0]] != ["n", "point", "weight"]:
+        raise ParseError("expected header n,point,weight", line=1)
+    groups: dict[int, tuple[list, list]] = {}  # n -> (points, weights), in file order
+    last = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError("expected three columns", line=lineno)
+        try:
+            n, pt, wt = int(row[0]), float(row[1]), float(row[2])
+        except ValueError:
+            raise ParseError("malformed row", line=lineno) from None
+        if n in groups and n != last:
+            raise InvariantViolation(f"line {lineno}: rows of n={n} resume after rows of another n")
+        last = n
+        points, weights = groups.setdefault(n, ([], []))
+        points.append(pt)
+        weights.append(wt)
+    entries = [_sequence_entry(n, pts, wts, f"n={n}") for n, (pts, wts) in groups.items()]
+    return MeasureSequence(description=description, entries=tuple(entries))
+
+
+def load_measure_sequence(path) -> MeasureSequence:
+    """Read a measure sequence from a JSON or CSV file.
+
+    JSON: {"description": s, "entries": [{"n", "points", "weights"}]}.
+    CSV: header n,point,weight with the rows of each n contiguous (the
+    description falls back to the file stem).  Weight sums within 1e-12
+    of 1 are kept bit-exact; within 1e-6 they are renormalized; anything
+    worse is an InvariantViolation, as are out-of-order n and rows of one
+    n split by another.
+    """
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return _csv_sequence(_read_text(path), path.stem)
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    for key in ("description", "entries"):
+        if key not in doc:
+            raise ParseError(f"missing key {key!r}", field=key)
+    if not isinstance(doc["entries"], list):
+        raise ParseError("entries must be a list", field="entries")
+    entries = []
+    for i, item in enumerate(doc["entries"]):
+        where = f"entries[{i}]"
+        if not isinstance(item, dict):
+            raise ParseError(f"{where}: entry must be an object", field="entries")
+        for key in ("n", "points", "weights"):
+            if key not in item:
+                raise ParseError(f"{where}: missing key {key!r}", field=key)
+        points, weights = _list(item, "points", where), _list(item, "weights", where)
+        entries.append(_sequence_entry(item["n"], points, weights, where))
+    return MeasureSequence(description=str(doc["description"]), entries=tuple(entries))
 
 
 def encode_limit_report(report) -> dict:
@@ -324,10 +430,6 @@ def encode_value(value: float) -> dict:
     return {"value": _real(value)}
 
 
-def value_csv(value: float) -> str:
-    return _csv_text([("value",), (value,)])
-
-
 def encode_gap(functional_value: float, reconstruction: float, gap: float) -> dict:
     return {
         "functional_value": _real(functional_value),
@@ -336,22 +438,13 @@ def encode_gap(functional_value: float, reconstruction: float, gap: float) -> di
     }
 
 
-def gap_csv(functional_value: float, reconstruction: float, gap: float) -> str:
-    return _csv_text([
-        ("functional_value", "reconstruction", "gap"),
-        (functional_value, reconstruction, gap),
-    ])
-
-
 # -- functional descriptors --
 
 
 def decode_grid_function(doc) -> GridFunction:
     """{"values": [...]} on the 1025-point reference grid, or explicit "xs"."""
-    if not isinstance(doc, dict) or "values" not in doc:
-        raise ParseError("grid function needs a 'values' list", field="values")
-    ys = [_num(v, "values") for v in doc["values"]]
-    xs = [_num(v, "xs") for v in doc["xs"]] if "xs" in doc else None
+    ys = _list(doc, "values", "grid function")
+    xs = _list(doc, "xs", "grid function") if "xs" in doc else None
     return GridFunction(ys, xs)
 
 
@@ -387,9 +480,7 @@ def decode_functional(doc) -> FunctionalHandle:
         space = decode_space(doc["space"]) if "space" in doc else None
         return ldp_term(decode_measure(doc["measure"]), n, space=space)
     if kind == "tail_limsup":
-        grid = None
-        if "grid" in doc:
-            grid = [_num(v, "grid") for v in doc["grid"]]
+        grid = _list(doc, "grid", "tail_limsup") if "grid" in doc else None
         return tail_limsup(TailDomain(grid))
     raise ParseError(f"unknown functional kind {kind!r}", field="kind")
 
@@ -400,6 +491,7 @@ def load_functional(path) -> FunctionalHandle:
 
 __all__ = [
     "dumps",
+    "flat_csv",
     "read_json",
     "encode_space",
     "decode_space",
@@ -412,19 +504,16 @@ __all__ = [
     "encode_dual_report",
     "dual_report_csv",
     "encode_conjugate_report",
-    "conjugate_report_csv",
     "encode_check_report",
-    "check_report_csv",
     "encode_measure_sequence",
     "measure_sequence_csv",
+    "load_measure_sequence",
     "encode_limit_report",
     "limit_report_csv",
     "encode_tightness",
     "tightness_csv",
     "encode_value",
-    "value_csv",
     "encode_gap",
-    "gap_csv",
     "decode_grid_function",
     "decode_functional",
     "load_functional",

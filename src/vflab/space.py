@@ -121,8 +121,11 @@ class FiniteSpace:
                 raise ValidationError("coords must be finite and match the label count")
             self._coords = _freeze(coords)
         elif metric is not None:
-            m = np.array(metric, dtype=float)
-            if m.shape != (n, n):
+            try:
+                m = np.array(metric, dtype=float)
+            except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+                m = None
+            if m is None or m.shape != (n, n):
                 raise ValidationError(f"metric must be {n}x{n}")
             if not np.all(np.isfinite(m)):
                 raise ValidationError("metric entries must be finite")

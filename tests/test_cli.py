@@ -299,11 +299,13 @@ class TestErrorRecords:
             ("check", "--functional", "{S_nan}", "--property", "monotone"),
             ("gap", "--functional", "{S_inf}", "--f", "{F}"),
             ("dual", "--functional", "{T_empty}"),
+            ("eval", "--functional", "{D_huge}", "--f", "{F}"),
+            ("conjugate", "--functional", "{D_huge}", "--measure", "{mu}"),
         ],
         ids=[
             "negative_seed", "nan_tol", "sigma_nan_tol", "nan_level", "inf_ascent_tol",
             "eval_nan_L0", "eval_inf_L0", "reconstruct_nan_L0", "reconstruct_inf_L0",
-            "check_nan_L0", "gap_inf_L0", "empty_tail_grid",
+            "check_nan_L0", "gap_inf_L0", "empty_tail_grid", "eval_huge_n", "conjugate_huge_n",
         ],
     )
     def test_non_finite_or_negative_inputs_exit_2(self, tmp_path, capsys, argv):
@@ -316,11 +318,64 @@ class TestErrorRecords:
             "rate_nan": write(tmp_path, "rate_nan.json", {"L0": "nan", "rate": [0.0, 1.0, "inf"]}),
             "rate_inf": write(tmp_path, "rate_inf.json", {"L0": "inf", "rate": [0.0, 1.0, "inf"]}),
             "T_empty": write(tmp_path, "T_empty.json", {"kind": "tail_limsup", "grid": []}),
+            "D_huge": write(tmp_path, "D_huge.json", {"kind": "ldp_term", "measure": [0.5, 0.5], "n": 10**400}),
         }
         code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("vflab: error kind=ValidationError detail=")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--functional", "{L}", "--f", "{f_scalar}"),
+            ("reconstruct", "--rate", "{rate}", "--f", "{f_scalar}"),
+            ("recover", "--measure", "{mu}", "--f", "{f_scalar}"),
+            ("dual", "--functional", "{S_rate_scalar}"),
+            ("dual", "--functional", "{S_points_scalar}"),
+            ("dual", "--functional", "{T_grid_scalar}"),
+            ("cramer", "--p", "0.5", "--schedule", "16,32,64", "--f", "{grid_xs_scalar}"),
+            ("reconstruct", "--rate", "{rate_metric_str}", "--f", "{F}"),
+            ("reconstruct", "--rate", "{rate_metric_row}", "--f", "{F2}"),
+            ("eval", "--functional", "{S_points_str}", "--f", "{f_str}"),
+            ("tightness", "--measure", "{seq_split}", "--level", "0.2"),
+        ],
+        ids=[
+            "eval_values_scalar", "reconstruct_values_scalar", "recover_values_scalar",
+            "rate_scalar", "points_scalar", "grid_scalar", "xs_scalar", "metric_string",
+            "metric_row_string", "string_values_on_string_points", "csv_split_group",
+        ],
+    )
+    def test_malformed_inputs_exit_2(self, tmp_path, capsys, argv):
+        files = {
+            "L": write(tmp_path, "L.json", {"kind": "log_integral", "measure": [0.2, 0.3, 0.5]}),
+            "mu": write(tmp_path, "mu.json", {"weights": [0.2, 0.3, 0.5]}),
+            "F": write(tmp_path, "F.json", {"values": [0.0, 0.5, 1.0]}),
+            "F2": write(tmp_path, "F2.json", {"values": [0.0, 0.5]}),
+            "rate": write(tmp_path, "rate.json", {"L0": 0.0, "rate": [0.0, 1.0, 2.0]}),
+            "f_scalar": write(tmp_path, "f_scalar.json", {"values": 5}),
+            "f_str": write(tmp_path, "f_str.json", {"values": "123"}),
+            "S_rate_scalar": write(tmp_path, "S1.json", {"kind": "sup_form", "rate": 5}),
+            "S_points_scalar": write(tmp_path, "S2.json", {"kind": "sup_form", "rate": [0, 1], "points": 5}),
+            "S_points_str": write(tmp_path, "S3.json", {"kind": "sup_form", "rate": [0, 1, 2], "points": "abc"}),
+            "T_grid_scalar": write(tmp_path, "T.json", {"kind": "tail_limsup", "grid": 5}),
+            "grid_xs_scalar": write(tmp_path, "grid.json", {"values": [0.0, 1.0], "xs": 5}),
+            "rate_metric_str": write(tmp_path, "r1.json", {"rate": [0, 1, 2], "points": ["a", "b", "c"], "metric": "abc"}),
+            "rate_metric_row": write(tmp_path, "r2.json", {"rate": [0, 1], "points": ["a", "b"], "metric": [[0, "x"], [1, 0]]}),
+        }
+        split = tmp_path / "split.csv"
+        split.write_text("n,point,weight\n1,0,.5\n2,0,.5\n2,1,.5\n1,1,.5\n")
+        files["seq_split"] = str(split)
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("vflab: error kind=")
+
+    def test_cmax_past_the_float_range_keeps_the_schedule(self, tmp_path, capsys):
+        f = write(tmp_path, "L.json", UNIFORM2)
+        _, full, _ = run_cli(capsys, "dual", "--functional", f)
+        code, out, err = run_cli(capsys, "dual", "--functional", f, "--cmax", "1024")
+        assert (code, out, err) == (0, full, "")
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--f", "x.json")

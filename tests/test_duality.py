@@ -51,6 +51,10 @@ class TestPitSchedule:
         assert s.depths == (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
         with pytest.raises(ValidationError):
             PitSchedule((64.0, 128.0)).capped(3)
+        for cmax in (1023.5, 1024, 1e6, math.inf):  # 2**cmax past the float range
+            assert PitSchedule().capped(cmax).depths == PitSchedule().depths
+        with pytest.raises(ValidationError):
+            PitSchedule().capped(math.nan)
 
 
 class TestDualRate:

@@ -171,6 +171,9 @@ class TestLdpTerm:
             ldp_term(mu, 0)
         with pytest.raises(ValidationError):
             ldp_term(mu, 2.5)
+        for n in (10**400, 2**1024, math.inf, math.nan):  # past the float range, or no number
+            with pytest.raises(ValidationError):
+                ldp_term(mu, n)
 
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3), st.integers(1, 2000))
     @settings(max_examples=60, deadline=None)

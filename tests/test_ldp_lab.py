@@ -403,15 +403,47 @@ class TestIngest:
 
     def test_csv_regrouped_n_rejected(self, tmp_path):
         path = tmp_path / "seq.csv"
-        path.write_text(
+        texts = (
             "n,point,weight\n"
             "1,0.0,0.5\n1,1.0,0.5\n"
             "2,0.0,0.5\n2,1.0,0.5\n"
-            "1,0.5,1.0\n"
+            "1,0.5,1.0\n",
+            # every weight sum is exact: only the split group is wrong
+            "n,point,weight\n1,0,.5\n2,0,.5\n2,1,.5\n1,1,.5\n",
         )
-        with pytest.raises(InvariantViolation):
-            ingest_sequence(path)
+        for text, line in zip(texts, (6, 5)):
+            path.write_text(text)
+            with pytest.raises(InvariantViolation, match=f"line {line}"):
+                ingest_sequence(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             ingest_sequence(tmp_path / "nowhere.json")
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"n": 1, "points": "01", "weights": [0.5, 0.5]}, "points"),
+            ({"n": 1, "points": [0.0, 1.0], "weights": [True, False]}, "weights"),
+            ({"n": 1, "points": [0.0, 10**400], "weights": [0.5, 0.5]}, "points"),
+            ({"n": 10**400, "points": [0.0, 1.0], "weights": [0.5, 0.5]}, "n"),
+        ],
+    )
+    def test_json_entries_use_the_list_reader(self, tmp_path, entry, field):
+        path = self._write(tmp_path, {"description": "d", "entries": [entry]})
+        with pytest.raises(ParseError) as exc:
+            ingest_sequence(path)
+        assert exc.value.field == field
+
+    def test_csv_huge_n_refused(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("n,point,weight\n" + "9" * 400 + ",0.0,1.0\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_sequence(path)
+        assert exc.value.field == "n"
+
+    def test_reader_lives_in_serialize(self):
+        from vflab import ldp_lab, serialize
+
+        assert ingest_sequence is serialize.load_measure_sequence
+        assert not hasattr(ldp_lab, "ingest_sequence")

@@ -27,8 +27,6 @@ from vflab import (
 from vflab.errors import ParseError, ValidationError
 from vflab.functionals import TailDomain
 from vflab.serialize import (
-    check_report_csv,
-    conjugate_report_csv,
     decode_function,
     decode_functional,
     decode_grid_function,
@@ -48,12 +46,11 @@ from vflab.serialize import (
     encode_space,
     encode_tightness,
     encode_value,
-    gap_csv,
+    flat_csv,
     limit_report_csv,
     load_functional,
     read_json,
     tightness_csv,
-    value_csv,
 )
 
 
@@ -218,7 +215,7 @@ class TestReports:
         doc2 = encode_conjugate_report(rec)
         assert abs(sum(doc2["maximizer"]) - 1.0) <= 1e-9  # measure weights
 
-        lines = conjugate_report_csv(conj).splitlines()
+        lines = flat_csv(encode_conjugate_report(conj)).splitlines()
         assert lines[0] == "value,iterations,converged,stop_reason"
         assert lines[1].endswith(",true,stationary")
 
@@ -231,7 +228,7 @@ class TestReports:
         }
         assert doc["witness"]["F"]["values"]  # numpy became plain lists
         json.loads(dumps(doc))
-        lines = check_report_csv(report).splitlines()
+        lines = flat_csv(encode_check_report(report)).splitlines()
         assert lines[0] == "property,trials,violations,worst_violation,tolerance,seed"
         assert lines[1].startswith("translation,20,")
 
@@ -265,12 +262,12 @@ class TestReports:
         assert lines[0] == "n,diameter" and len(lines) == 3
 
         assert encode_value(math.inf) == {"value": "inf"}
-        assert value_csv(2.0).splitlines() == ["value", "2.0"]
+        assert flat_csv(encode_value(2.0)).splitlines() == ["value", "2.0"]
 
         assert encode_gap(1.0, 0.75, 0.25) == {
             "functional_value": 1.0, "reconstruction": 0.75, "gap": 0.25,
         }
-        assert gap_csv(1.0, 0.75, 0.25).splitlines()[1] == "1.0,0.75,0.25"
+        assert flat_csv(encode_gap(1.0, 0.75, 0.25)).splitlines()[1] == "1.0,0.75,0.25"
 
 
 class TestFunctionalDescriptors:
@@ -351,3 +348,96 @@ class TestReadJson:
         with pytest.raises(ParseError) as exc:
             read_json(path)
         assert exc.value.line == 2
+
+    def test_inputs_past_the_parser_limits(self, tmp_path):
+        path = tmp_path / "big.json"
+        for text in ('{"values": [' + "9" * 5000 + "]}", "[" * 100000):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="invalid JSON"):
+                read_json(path)
+
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(ParseError):
+            read_json(path)
+
+
+class TestListFields:
+    """Every list field goes through one reader: arrays of numbers only."""
+
+    @pytest.mark.parametrize("bad", [5, "123", None, {"0": 1.0}, True])
+    def test_non_array_values_refused(self, bad):
+        space = FiniteSpace.default(3)
+        with pytest.raises(ParseError) as exc:
+            decode_function({"values": bad}, space)
+        assert exc.value.field == "values"
+
+    @pytest.mark.parametrize("entry", ["x", [1.0], 10**400], ids=["string", "array", "huge_int"])
+    def test_bad_entries_refused(self, entry):
+        with pytest.raises(ParseError) as exc:
+            decode_measure({"weights": [0.5, entry]})
+        assert exc.value.field == "weights"
+
+    def test_inf_strings_kept(self):
+        L0, rate = decode_rate({"rate": [0.0, "inf", "+Infinity"], "L0": "0.5"})
+        assert L0 == 0.5 and list(rate.values[1:]) == [math.inf, math.inf]
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"points": "abc"}, "points"),
+            ({"points": 5}, "points"),
+            ({"points": ["a", "b"], "coords": 5}, "coords"),
+            ({"points": ["a", "b"], "coords": [0.0, False]}, "coords"),
+            ({"points": ["a", "b"], "metric": "abc"}, "metric"),
+            ({"points": ["a", "b"], "metric": [[0, "x"], [1, 0]]}, "metric"),
+            ({"points": ["a", "b"], "metric": [[0, 1], 1]}, "metric"),
+            ({"points": ["a", "b"], "metric": [[False, True], [True, False]]}, "metric"),
+        ],
+    )
+    def test_space_fields(self, doc, field):
+        with pytest.raises(ParseError) as exc:
+            decode_space(doc)
+        assert exc.value.field == field
+        with pytest.raises(ParseError) as exc:
+            decode_rate(dict(doc, rate=[0.0, 1.0]))
+        assert exc.value.field == field
+
+    def test_rate_space_is_decode_space(self):
+        geometry = {"points": ["a", "b"], "metric": [[0, 2], [2, 0]]}
+        _, rate = decode_rate(dict(geometry, rate=[0.0, 1.0]))
+        assert rate.space == decode_space(geometry)
+        _, rate = decode_rate({"rate": [0.0, 1.0], "coords": [0.0, 0.5]})
+        assert rate.space == FiniteSpace.from_line([0.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"kind": "sup_form", "rate": 5}, "rate"),
+            ({"kind": "sup_form", "rate": [0.0, 1.0], "points": 5}, "points"),
+            ({"kind": "tail_limsup", "grid": 5}, "grid"),
+            ({"kind": "tail_limsup", "grid": "012"}, "grid"),
+            ({"kind": "log_integral", "measure": {"weights": "0.5"}}, "weights"),
+        ],
+    )
+    def test_descriptor_fields(self, doc, field):
+        with pytest.raises(ParseError) as exc:
+            decode_functional(doc)
+        assert exc.value.field == field
+
+    def test_grid_function_xs(self):
+        for bad in (5, "01", [0.0, True]):
+            with pytest.raises(ParseError) as exc:
+                decode_grid_function({"values": [0.0, 1.0], "xs": bad})
+            assert exc.value.field == "xs"
+
+
+class TestFlatCsv:
+    def test_scalar_fields_in_key_order(self):
+        doc = {"b": 1, "a": [1.0], "c": None, "d": {"x": 1}, "e": "inf", "f": True, "g": 0.1}
+        assert flat_csv(doc) == "b,e,f,g\n1,inf,true,0.1\n"
+
+    def test_non_finite_values(self):
+        assert flat_csv(encode_value(-math.inf)) == "value\n-inf\n"
+        assert flat_csv(encode_value(math.nan)) == "value\nnan\n"
