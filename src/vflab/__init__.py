@@ -22,7 +22,6 @@ from .axioms import (
     vanishing_sequence,
 )
 from .convex_duality import (
-    AscentOptions,
     ConjugateReport,
     MeasureFunctional,
     conjugate_J,
@@ -54,7 +53,6 @@ from .functionals import (
     tail_limsup,
 )
 from .ldp_lab import (
-    FitOptions,
     GridFunction,
     LimitReport,
     MeasureSequence,
@@ -115,7 +113,6 @@ __all__ = [
     "representation_gap",
     "sublevel_set",
     # measure-level duality
-    "AscentOptions",
     "ConjugateReport",
     "MeasureFunctional",
     "conjugate_J",
@@ -139,7 +136,6 @@ __all__ = [
     # LDP lab
     "MeasureSequence",
     "SequenceEntry",
-    "FitOptions",
     "LimitReport",
     "GridFunction",
     "binomial_weights",

@@ -32,6 +32,7 @@ FUNCTION_LOW, FUNCTION_HIGH = -5.0, 5.0
 PERTURB_LOW, PERTURB_HIGH = 0.0, 5.0
 CONST_LOW, CONST_HIGH = -10.0, 10.0
 _INTERPOLATION_THETAS = (0.5, 0.25, 0.125)
+VANISHING_SCALES = 25
 
 
 @dataclass(frozen=True)
@@ -265,18 +266,18 @@ def check_sigma_continuity(L, seq, tol: float = DEFAULT_TOL) -> CheckReport:
     )
 
 
-def vanishing_sequence(domain, scales: int = 25) -> DecreasingSequence:
-    """A default F_k decreasing to zero on the given domain.
+def vanishing_sequence(domain) -> DecreasingSequence:
+    """VANISHING_SCALES functions F_k decreasing to zero on the given domain.
 
     Finite spaces halve a positive profile; the half-line domain uses the
     escaping ramps min(1, x/2^k), whose grid residual vanishes while the
     declared tails stay at 1.  Both end below the 1e-6 residual gate.
     """
     if hasattr(domain, "ramp"):
-        terms = [domain.ramp(2.0**k) for k in range(scales)]
+        terms = [domain.ramp(2.0**k) for k in range(VANISHING_SCALES)]
     else:
         base = domain.constant_function(1.0)
-        terms = [base.scaled(0.5**k) for k in range(scales)]
+        terms = [base.scaled(0.5**k) for k in range(VANISHING_SCALES)]
     return validate_decreasing(terms)
 
 

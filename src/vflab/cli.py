@@ -16,7 +16,7 @@ import sys
 
 from . import serialize
 from .axioms import DEFAULT_TOL, CHECKS, check_sigma_continuity, vanishing_sequence
-from .convex_duality import AscentOptions, conjugate_J, kl_functional, recover_L_from_J
+from .convex_duality import ASCENT_TOL, conjugate_J, kl_functional, recover_L_from_J
 from .duality import PitSchedule, dual_rate, reconstruct
 from .errors import VflabError
 from .ldp_lab import cramer_sequence, estimate_limit, tightness_scan
@@ -99,11 +99,6 @@ def _load_function_on(path, space):
     return serialize.decode_function(serialize.read_json(path), space)
 
 
-def _ascent_options(args) -> AscentOptions | None:
-    tol = getattr(args, "tol", None)
-    return AscentOptions(grad_tolerance=tol) if tol is not None else None
-
-
 # -- command handlers --
 
 
@@ -149,7 +144,7 @@ def _cmd_gap(args) -> int:
 def _cmd_conjugate(args) -> int:
     L = serialize.load_functional(args.functional)
     mu = serialize.decode_measure(serialize.read_json(args.measure))
-    report = conjugate_J(L, mu, _ascent_options(args), exact_gradient=args.exact_gradient)
+    report = conjugate_J(L, mu, tol=args.tol, exact_gradient=args.exact_gradient)
     log.info("conjugate value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
     _emit(args, serialize.encode_conjugate_report(report))
     return 0 if report.converged else 3
@@ -159,7 +154,7 @@ def _cmd_recover(args) -> int:
     nu = serialize.decode_measure(serialize.read_json(args.measure))
     space = FiniteSpace.default(len(nu.weights))
     F = _load_function_on(args.f, space)
-    report = recover_L_from_J(kl_functional(nu), 0.0, F, _ascent_options(args), exact_gradient=args.exact_gradient)
+    report = recover_L_from_J(kl_functional(nu), 0.0, F, tol=args.tol, exact_gradient=args.exact_gradient)
     log.info("recover value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
     _emit(args, serialize.encode_conjugate_report(report))
     return 0 if report.converged else 3
@@ -238,7 +233,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("conjugate", help="J(mu) = L0 + sup_F (mu(F) - L(F)) by ascent along (mu - dL/dF)/(dL/dF) with secant steps")
     p.add_argument("--functional", required=True)
     p.add_argument("--measure", required=True)
-    p.add_argument("--tol", type=float, help="gradient tolerance override")
+    p.add_argument("--tol", type=float, default=ASCENT_TOL, help="gradient tolerance override")
     p.add_argument("--exact-gradient", action=argparse.BooleanOptionalAction, default=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_conjugate)
@@ -246,7 +241,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("recover", help="L(F) = sup_mu (mu(F) - KL(mu||nu)) by mirror ascent")
     p.add_argument("--measure", required=True, help="the reference measure nu")
     p.add_argument("--f", required=True)
-    p.add_argument("--tol", type=float, help="KKT tolerance override")
+    p.add_argument("--tol", type=float, default=ASCENT_TOL, help="KKT tolerance override")
     p.add_argument("--exact-gradient", action=argparse.BooleanOptionalAction, default=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_recover)
@@ -292,13 +287,11 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _require_input_files(args)
         return args.handler(args)
-    except _UsageError as exc:
-        detail = str(exc).replace("\n", " ")
-        print(f'vflab: error kind=usage detail="{detail}"', file=sys.stderr)
-        return 2
-    except VflabError as exc:
-        detail = str(exc).replace("\n", " ")
-        print(f'vflab: error kind={type(exc).__name__} detail="{detail}"', file=sys.stderr)
+    except (_UsageError, VflabError) as exc:
+        kind = "usage" if isinstance(exc, _UsageError) else type(exc).__name__
+        # escaped so that detail="..." stays one quoted field whatever the message quotes
+        detail = str(exc).replace("\n", " ").replace("\\", "\\\\").replace('"', '\\"')
+        print(f'vflab: error kind={kind} detail="{detail}"', file=sys.stderr)
         return 2
 
 

@@ -32,32 +32,18 @@ from .space import BoundedFunction, ProbabilityMeasure, _finite, _lse
 
 EPS_INTERIOR = 1e-9
 BOUNDARY_SNAP = 1e-7
+ASCENT_TOL = 1e-8
+STEP_INIT = 1.0
+MAX_ITERS = 10000
+VALUE_CAP = 1e6
+FD_STEP = 1e-6
+# dirac_functional's tolerance sits between the interior shift EPS_INTERIOR
+# and FD_STEP: the ascent's start is feasible, every FD probe is blocked
+DIRAC_ATOL = 1e-7
 _EPS = float(np.finfo(float).eps)
 _ARMIJO_C1 = 0.1
 _STEP_FLOOR = 1e-20
 _ROUNDING_ULPS = 16
-
-
-@dataclass(frozen=True)
-class AscentOptions:
-    """Shared knobs for both ascent directions."""
-
-    step_init: float = 1.0
-    max_iters: int = 10000
-    grad_tolerance: float = 1e-8
-    value_cap: float = 1e6
-    finite_difference_h: float = 1e-6
-
-    def __post_init__(self):
-        # written as not (x > 0) so that nan is refused too; value_cap may be inf
-        if not all(
-            x > 0 for x in (self.step_init, self.grad_tolerance, self.value_cap, self.finite_difference_h)
-        ):
-            raise ValidationError("ascent options must be positive")
-        if not np.isfinite([self.step_init, self.grad_tolerance, self.finite_difference_h]).all():
-            raise ValidationError("step_init, grad_tolerance and finite_difference_h must be finite")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -68,13 +54,13 @@ class ConjugateReport:
     ProbabilityMeasure for recover_L_from_J.  iterations counts the steps
     taken.  stop_reason says why the ascent ended:
 
-      stationary             the stationarity residual fell to grad_tolerance
+      stationary             the stationarity residual fell to tol
       stalled                a step did not strictly raise the value, and the
                              point it reached is not stationary (the objective
                              is flat to float precision there)
       line_search_exhausted  no step above the floor passed the acceptance rule
-      max_iters              max_iters steps taken, the last point not stationary
-      value_cap              the value passed value_cap or overflowed; value is inf
+      max_iters              MAX_ITERS steps taken, the last point not stationary
+      value_cap              the value passed VALUE_CAP or overflowed; value is inf
 
     converged is stop_reason == "stationary".  No stop raises.
     """
@@ -115,7 +101,7 @@ def exponential_tilt(nu: ProbabilityMeasure, F: BoundedFunction) -> ProbabilityM
     return ProbabilityMeasure(w / w.sum(), log_weights=z)
 
 
-def _ascend(value, descent, retract, x, opts: AscentOptions):
+def _ascend(value, descent, retract, x, tol: float):
     """The one ascent loop; returns (x, value, iterations, stop_reason).
 
     value(x) is the objective.  descent(x) gives (residual, grad, d): the
@@ -123,7 +109,7 @@ def _ascend(value, descent, retract, x, opts: AscentOptions):
     that retract moves, and the ascent direction.  retract(x, t, d) is the
     point reached by step t along d.
 
-    The first trial step is step_init, then a secant (Barzilai-Borwein)
+    The first trial step is STEP_INIT, then a secant (Barzilai-Borwein)
     step: the root of the slope along the last gradient, from its values
     at both ends of the last step.  A slope that did not fall reads as
     curvature at float resolution, so on a flat ray the step grows by
@@ -131,20 +117,22 @@ def _ascend(value, descent, retract, x, opts: AscentOptions):
     less the value's rounding error, so a step whose gain is below float
     resolution is still taken and the residual decides.
     """
+    if not 0 < tol < math.inf:  # refuses nan as well
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     val = value(x)
     last = None  # (step, gradient) of the last step
     stalled = False
     iterations = 0
     while True:
         residual, grad, d = descent(x)
-        if residual <= opts.grad_tolerance:
+        if residual <= tol:
             return x, val, iterations, "stationary"
         if stalled:
             return x, val, iterations, "stalled"
-        if iterations == opts.max_iters:
+        if iterations == MAX_ITERS:
             return x, val, iterations, "max_iters"
         slope = float(grad @ d)
-        step = opts.step_init
+        step = STEP_INIT
         if last is not None:
             t0, g0 = last
             s0 = float(g0 @ g0)
@@ -160,7 +148,7 @@ def _ascend(value, descent, retract, x, opts: AscentOptions):
             if step < _STEP_FLOOR:
                 return x, val, iterations, "line_search_exhausted"
         iterations += 1
-        if trial > opts.value_cap or trial == math.inf:
+        if trial > VALUE_CAP or trial == math.inf:
             # an overflowed trial is no point to report: keep the last one
             return (trial_x if trial < math.inf else x), math.inf, iterations, "value_cap"
         stalled = not trial > val
@@ -168,22 +156,22 @@ def _ascend(value, descent, retract, x, opts: AscentOptions):
         x, val = trial_x, trial
 
 
-def _fd_gradient_L(L, values: np.ndarray, h: float, space) -> np.ndarray:
+def _fd_gradient_L(L, values: np.ndarray, space) -> np.ndarray:
     g = np.empty(len(values))
     for i in range(len(values)):
         up = values.copy()
-        up[i] += h
+        up[i] += FD_STEP
         dn = values.copy()
-        dn[i] -= h
-        g[i] = (L.evaluate(space.function(up)) - L.evaluate(space.function(dn))) / (2 * h)
+        dn[i] -= FD_STEP
+        g[i] = (L.evaluate(space.function(up)) - L.evaluate(space.function(dn))) / (2 * FD_STEP)
     return g
 
 
 def conjugate_J(
     L,
     mu: ProbabilityMeasure,
-    opts: AscentOptions | None = None,
     *,
+    tol: float = ASCENT_TOL,
     exact_gradient: bool = True,
 ) -> ConjugateReport:
     """J(mu) = L(0) + sup_F (mu(F) - L(F)) by pinned ascent.
@@ -191,16 +179,17 @@ def conjugate_J(
     The objective is translation-invariant, so each iterate is pinned to
     mean zero.  Its gradient is mu - p with p = dL/dF; log-integral style
     handles expose p exactly as the tilted measure, otherwise central
-    finite differences step in with opts.finite_difference_h.
+    finite differences step in with FD_STEP.  It stops at max|mu - p| <=
+    tol; a tol not positive and finite, or a tail domain (rows that are
+    not its points), is a ValidationError.
 
     The direction is (mu - p)/p, with p floored at float eps.  For
     L(F) = (1/n) log int e^{nF} dnu the Hessian is n (diag p - p p^T), so
     the pinned Newton step is this direction times 1/n; the secant first
     trial of the shared skeleton finds that scale without a Hessian.
     Where p has a zero entry under mass of mu, the floored direction
-    climbs steeply, and a value beyond value_cap declares J(mu) = inf.
+    climbs steeply, and a value beyond VALUE_CAP declares J(mu) = inf.
     """
-    opts = opts or AscentOptions()
     if not L.claims_convex:
         warnings.warn(
             f"handle {L.name!r} does not claim convexity; "
@@ -208,6 +197,8 @@ def conjugate_J(
             stacklevel=2,
         )
     space = L.space
+    if space.row_width != len(space):
+        raise ValidationError("conjugate_J needs a space whose function rows are its points")
     if len(mu) != len(space):
         raise SpaceMismatch("measure does not match the functional's space")
     use_exact = exact_gradient and L.gradient is not None
@@ -223,7 +214,7 @@ def conjugate_J(
         if use_exact:
             p = L.gradient(values)
         else:
-            p = _fd_gradient_L(L, values, opts.finite_difference_h, space)
+            p = _fd_gradient_L(L, values, space)
         g = w - p
         return float(np.max(np.abs(g))), g, g / np.maximum(p, _EPS)
 
@@ -232,7 +223,7 @@ def conjugate_J(
             moved = values + step * d
             return moved - moved.mean()
 
-    values, val, iterations, reason = _ascend(objective, descent, retract, np.zeros(len(space)), opts)
+    values, val, iterations, reason = _ascend(objective, descent, retract, np.zeros(len(space)), tol)
     return ConjugateReport(val, space.function(values), iterations, reason)
 
 
@@ -276,18 +267,16 @@ def kl_functional(nu: ProbabilityMeasure) -> MeasureFunctional:
     )
 
 
-def dirac_functional(mu0: ProbabilityMeasure, atol: float = 1e-7) -> MeasureFunctional:
-    """J = 0 at mu0 (within atol in sup norm), inf elsewhere.
+def dirac_functional(mu0: ProbabilityMeasure) -> MeasureFunctional:
+    """J = 0 at mu0 (within DIRAC_ATOL in sup norm), inf elsewhere.
 
-    atol sits between the interior-initialization shift (~1e-9 per
-    coordinate) and the finite-difference step 1e-6, so the start is
-    feasible while every probe direction is blocked; the ascent then stays
-    put and reports <mu0, F> + L0.
+    The ascent starts at mu0, every probe direction is blocked, and it
+    stays put and reports <mu0, F> + L0.
     """
     anchor = mu0.weights
 
     def fn(mu: ProbabilityMeasure) -> float:
-        return 0.0 if float(np.max(np.abs(mu.weights - anchor))) <= atol else float("inf")
+        return 0.0 if float(np.max(np.abs(mu.weights - anchor))) <= DIRAC_ATOL else float("inf")
 
     return MeasureFunctional("dirac", fn, feasible_start=mu0)
 
@@ -299,14 +288,14 @@ def _eval_J(J, weights: np.ndarray) -> float:
     return float(J(ProbabilityMeasure(weights / total)))
 
 
-def _tangent_objective_grad(J, F_vals, weights, base, h):
+def _tangent_objective_grad(J, F_vals, weights, base):
     """FD supergradient of mu(F) - J(mu) along simplex exchange directions.
 
     Direction i trades mass between coordinate i and the last coordinate.
     Blocked directions (both probes infeasible or infinite) contribute 0;
     half-blocked ones get a one-sided slope clipped toward feasibility.
     """
-    m = len(weights)
+    m, h = len(weights), FD_STEP
     g = np.zeros(m)
 
     def obj(w):
@@ -337,8 +326,8 @@ def recover_L_from_J(
     J,
     L0: float,
     F: BoundedFunction,
-    opts: AscentOptions | None = None,
     *,
+    tol: float = ASCENT_TOL,
     exact_gradient: bool = True,
 ) -> ConjugateReport:
     """L(F) = L0 + sup_mu (mu(F) - J(mu)) over the probability simplex.
@@ -347,12 +336,12 @@ def recover_L_from_J(
     mu <- normalize(mu * exp(step * g)), with g the gradient of
     mu(F) - J(mu).  The stationarity residual is the KKT condition for
     the simplex: centered gradient components vanish on the support and
-    are nonpositive off it.  Raises InfeasibleJ when no probed start has
-    finite J, and SpaceMismatch when J's feasible start and F differ in
-    length; a non-finite L0 is a ValidationError.
+    are nonpositive off it; the ascent stops once they are within tol.
+    Raises InfeasibleJ when no probed start has finite J, and
+    SpaceMismatch when J's feasible start and F differ in length; a
+    non-finite L0 or a tol not positive and finite is a ValidationError.
     """
     L0 = _finite(L0, "L0")
-    opts = opts or AscentOptions()
     F_vals = F.values
     m = len(F_vals)
 
@@ -385,7 +374,7 @@ def recover_L_from_J(
         if grad_hook is not None:
             g = F_vals - grad_hook(w)
         else:
-            g = _tangent_objective_grad(J, F_vals, w, _eval_J(J, w), opts.finite_difference_h)
+            g = _tangent_objective_grad(J, F_vals, w, _eval_J(J, w))
         centered = g - float(w @ g)
         viol = np.where(w > BOUNDARY_SNAP, np.abs(centered), np.maximum(centered, 0.0))
         # the mirror step moves log-weights along g, where the gradient is w * centered
@@ -398,7 +387,7 @@ def recover_L_from_J(
         trial = np.maximum(trial / trial.sum(), 1e-300)
         return trial / trial.sum()
 
-    weights, val, iterations, reason = _ascend(objective, descent, retract, weights, opts)
+    weights, val, iterations, reason = _ascend(objective, descent, retract, weights, tol)
     if reason != "value_cap":
         # snap dust back onto the boundary when J still accepts the result
         snapped = np.where(weights < BOUNDARY_SNAP, 0.0, weights)
@@ -412,7 +401,6 @@ def recover_L_from_J(
 
 
 __all__ = [
-    "AscentOptions",
     "ConjugateReport",
     "MeasureFunctional",
     "conjugate_J",

@@ -25,35 +25,27 @@ from .space import BoundedFunction, RateFunction, _finite, _require_same_space, 
 # values in (-1e-12, 0) coming out of the L(0) cancellation collapse to 0.0
 # so RateFunction's nonnegativity accepts them
 _NEGATIVE_CLAMP = 1e-12
-
-
-def _default_depths() -> tuple[float, ...]:
-    return tuple(float(2**k) for k in range(0, 41))
+# a point stops once its increment falls to STALL_TOLERANCE; I(x) is inf if
+# it still grows DIVERGENCE_SLOPE per unit depth or more at the last depth
+STALL_TOLERANCE = 1e-10
+DIVERGENCE_SLOPE = 0.5
+_DEFAULT_DEPTHS = tuple(float(2**k) for k in range(0, 41))
 
 
 @dataclass(frozen=True)
 class PitSchedule:
-    """Doubling depth schedule with stall and divergence detection knobs.
-
-    stall_tolerance ends a point early once the increment drops below it;
-    divergence_slope declares I(x) = inf when the value still grows at
-    least that fast per unit depth at the final depth.
-    """
+    """Pit depths, positive, finite and strictly increasing; 2**0..2**40 by default."""
 
     depths: tuple[float, ...] = None
-    stall_tolerance: float = 1e-10
-    divergence_slope: float = 0.5
 
     def __post_init__(self):
-        depths = self.depths if self.depths is not None else _default_depths()
+        depths = self.depths if self.depths is not None else _DEFAULT_DEPTHS
         depths = tuple(float(d) for d in depths)
         # comparisons written as not (x > y) so that nan is refused too
         if not depths or not all(0 < d < math.inf for d in depths):
             raise ValidationError("depths must be positive and finite")
         if not all(b > a for a, b in zip(depths, depths[1:])):
             raise ValidationError("depths must be strictly increasing")
-        if not (self.stall_tolerance > 0 and self.divergence_slope > 0):
-            raise ValidationError("tolerances must be positive")
         object.__setattr__(self, "depths", depths)
 
     def capped(self, cmax: float) -> "PitSchedule":
@@ -64,7 +56,7 @@ class PitSchedule:
         kept = tuple(d for d in self.depths if d <= cap)
         if not kept:
             raise ValidationError("depth cap removes the whole schedule")
-        return PitSchedule(kept, self.stall_tolerance, self.divergence_slope)
+        return PitSchedule(kept)
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray
     """The pit limit at a block of points, depth by depth.
 
     Each depth is one evaluate_many call over the points whose increment
-    has not yet fallen to stall_tolerance; a point's numbers are those a
+    has not yet fallen to STALL_TOLERANCE; a point's numbers are those a
     pass over its own depths alone would give.
     """
     depths = sched.depths
@@ -133,11 +125,11 @@ def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray
         cur = _neg_pits(L, indices[live], d)
         inc = cur - prev[live]
         increment[live], depth[live], prev[live] = inc, d, cur
-        stalled[live] = inc <= sched.stall_tolerance
+        stalled[live] = inc <= STALL_TOLERANCE
     divergent = np.zeros(k, dtype=bool)
     if len(depths) > 1:
         step = depths[-1] - depths[-2]
-        divergent = ~stalled & (increment >= sched.divergence_slope * step)
+        divergent = ~stalled & (increment >= DIVERGENCE_SLOPE * step)
     values = L.base_value + prev
     values[(-_NEGATIVE_CLAMP < values) & (values < 0.0)] = 0.0
     values[divergent] = math.inf

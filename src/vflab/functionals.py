@@ -214,15 +214,34 @@ def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
     """L(F) = (1/n) log int e^{nF} dnu with its exact gradient.
 
     The gradient is the tilted measure p, proportional to e^{nF} nu.  Zero
-    weights drop out as -inf log weights.
+    weights drop out as -inf log weights.  Where n F overflows, F is taken
+    relative to its top supported value; elsewhere the plain form runs.
     """
     log_weights, space = _coerce_measure(nu, space)
 
+    def exponents(V):
+        if n == 1:  # V + log weights stays in the float range
+            return V + log_weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            return n * V + log_weights
+
+    def shifted(V):
+        W = np.where(np.isneginf(log_weights), -np.inf, V)
+        top = W.max(-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            return top[..., 0], n * (W - top) + log_weights
+
     def rows(V):
-        return _lse(n * V + log_weights) / n
+        out = _lse(exponents(V)) / n
+        if n > 1 and not np.isfinite(out).all():
+            top, z = shifted(V)
+            out = np.where(np.isfinite(out), out, top + _lse(z) / n)
+        return out
 
     def grad(values: np.ndarray) -> np.ndarray:
-        z = n * values + log_weights
+        z = exponents(values)
+        if n > 1 and not (z < np.inf).all():
+            z = shifted(values)[1]
         return np.exp(z - _lse(z))
 
     return FunctionalHandle(

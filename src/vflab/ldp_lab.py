@@ -24,6 +24,9 @@ from .errors import InvalidP, InvariantViolation, ScheduleTooShort, ValidationEr
 from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _lse
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
+FIT_FRACTION = 0.5
+FIT_RESIDUAL_TOL = 1e-3
+FINAL_STEP_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,6 @@ class MeasureSequence:
 
     def __len__(self):
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Extrapolation knobs for estimate_limit."""
-
-    fit_fraction: float = 0.5
-    residual_tolerance: float = 1e-3
-    final_step_tolerance: float = 1e-2
 
 
 @dataclass(frozen=True)
@@ -190,18 +184,17 @@ def ldp_value(entry: SequenceEntry, F) -> float:
     return _lse(entry.n * f_at_atoms + entry.measure.log_weights) / entry.n
 
 
-def estimate_limit(seq: MeasureSequence, F, opts: FitOptions | None = None) -> LimitReport:
+def estimate_limit(seq: MeasureSequence, F) -> LimitReport:
     """Extrapolate the per-n values to n = infinity.
 
     Least-squares fit value(n) ~ a + b log(n)/n over the last half of the
     schedule; converged means the fit residual is below 1e-3 and the last
     two terms differ by at most 1e-2.
     """
-    opts = opts or FitOptions()
     if len(seq) < 3:
         raise ScheduleTooShort("need at least three schedule entries to extrapolate")
     terms = [(e.n, ldp_value(e, F)) for e in seq.entries]
-    count = max(2, math.ceil(len(terms) * opts.fit_fraction))
+    count = max(2, math.ceil(len(terms) * FIT_FRACTION))
     tail = terms[-count:]
     ns = np.array([t[0] for t in tail], dtype=float)
     ys = np.array([t[1] for t in tail])
@@ -209,7 +202,7 @@ def estimate_limit(seq: MeasureSequence, F, opts: FitOptions | None = None) -> L
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     residual = float(np.max(np.abs(design @ coef - ys)))
     final_step = abs(terms[-1][1] - terms[-2][1])
-    converged = residual <= opts.residual_tolerance and final_step <= opts.final_step_tolerance
+    converged = residual <= FIT_RESIDUAL_TOL and final_step <= FINAL_STEP_TOL
     return LimitReport(
         terms=tuple((int(n), float(v)) for n, v in terms),
         extrapolated=float(coef[0]),
@@ -251,7 +244,6 @@ __all__ = [
     "REFERENCE_GRID",
     "SequenceEntry",
     "MeasureSequence",
-    "FitOptions",
     "LimitReport",
     "GridFunction",
     "binomial_weights",

@@ -37,6 +37,7 @@ from vflab import (
     sup_form,
     tail_limsup,
 )
+from vflab import duality
 from vflab.axioms import (
     CHECKS,
     CONST_HIGH,
@@ -269,10 +270,10 @@ def _reference_point(L, index, sched):
     for d in depths[1:]:
         cur = -L.evaluate(domain.pit_function(index, d))
         increment, depth, prev = cur - prev, d, cur
-        if increment <= sched.stall_tolerance:
+        if increment <= duality.STALL_TOLERANCE:
             stalled = True
             break
-    divergent = not stalled and increment >= sched.divergence_slope * (depths[-1] - depths[-2])
+    divergent = not stalled and increment >= duality.DIVERGENCE_SLOPE * (depths[-1] - depths[-2])
     value = math.inf if divergent else L.base_value + prev
     if -1e-12 < value < 0.0:
         value = 0.0

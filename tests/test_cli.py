@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 
@@ -95,6 +96,13 @@ class TestDualAndReconstruct:
 
 
 class TestAscentCommands:
+    def test_ldp_term_past_the_float_range_stays_finite(self, tmp_path, capsys):
+        f = write(tmp_path, "L.json", {"kind": "ldp_term", "measure": [0.25, 0.25, 0.5], "n": 4})
+        g = write(tmp_path, "F.json", {"values": [1e308, 0, 1]})
+        code, out, err = run_cli(capsys, "eval", "--functional", f, "--f", g)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 1e308
+
     def test_conjugate_matches_kl(self, tmp_path, capsys):
         f = write(tmp_path, "L.json", UNIFORM2)
         m = write(tmp_path, "mu.json", {"weights": [0.75, 0.25]})
@@ -301,11 +309,15 @@ class TestErrorRecords:
             ("dual", "--functional", "{T_empty}"),
             ("eval", "--functional", "{D_huge}", "--f", "{F}"),
             ("conjugate", "--functional", "{D_huge}", "--measure", "{mu}"),
+            ("conjugate", "--functional", "{L}", "--measure", "{mu}", "--tol", "-1"),
+            ("recover", "--measure", "{mu}", "--f", "{F2}", "--tol", "0"),
+            ("conjugate", "--functional", "{T}", "--measure", "{mu3}"),
         ],
         ids=[
             "negative_seed", "nan_tol", "sigma_nan_tol", "nan_level", "inf_ascent_tol",
             "eval_nan_L0", "eval_inf_L0", "reconstruct_nan_L0", "reconstruct_inf_L0",
             "check_nan_L0", "gap_inf_L0", "empty_tail_grid", "eval_huge_n", "conjugate_huge_n",
+            "conjugate_negative_tol", "recover_zero_tol", "conjugate_tail_domain",
         ],
     )
     def test_non_finite_or_negative_inputs_exit_2(self, tmp_path, capsys, argv):
@@ -313,6 +325,9 @@ class TestErrorRecords:
             "L": write(tmp_path, "L.json", UNIFORM2),
             "mu": write(tmp_path, "mu.json", {"weights": [0.25, 0.75]}),
             "F": write(tmp_path, "F.json", {"values": [0.0, 0.5, 1.0]}),
+            "F2": write(tmp_path, "F2.json", {"values": [0.0, 1.0]}),
+            "mu3": write(tmp_path, "mu3.json", {"weights": [0.25, 0.25, 0.5]}),
+            "T": write(tmp_path, "T.json", {"kind": "tail_limsup", "grid": [0, 1, 2]}),
             "S_nan": write(tmp_path, "S_nan.json", dict(SUP3, L0="nan")),
             "S_inf": write(tmp_path, "S_inf.json", dict(SUP3, L0="inf")),
             "rate_nan": write(tmp_path, "rate_nan.json", {"L0": "nan", "rate": [0.0, 1.0, "inf"]}),
@@ -370,6 +385,17 @@ class TestErrorRecords:
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("vflab: error kind=")
+
+    @pytest.mark.parametrize("entry", ['a"b', "a\\b"])
+    def test_detail_escapes_quotes_and_backslashes(self, tmp_path, capsys, entry):
+        f = write(tmp_path, "L.json", {"kind": "log_integral", "measure": [0.2, 0.3, 0.5]})
+        g = write(tmp_path, "F.json", {"values": [entry, 0, 1]})
+        code, out, err = run_cli(capsys, "eval", "--functional", f, "--f", g)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        record = re.fullmatch(r'vflab: error kind=ParseError detail="((?:[^"\\]|\\.)*)"\n', err)
+        assert record is not None, err
+        detail = re.sub(r"\\(.)", r"\1", record.group(1))
+        assert detail == f"values: expected a number, got {entry!r} (field 'values')"
 
     def test_cmax_past_the_float_range_keeps_the_schedule(self, tmp_path, capsys):
         f = write(tmp_path, "L.json", UNIFORM2)

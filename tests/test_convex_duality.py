@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vflab import (
-    AscentOptions,
     ProbabilityMeasure,
+    TailDomain,
     conjugate_J,
     dirac_functional,
     exponential_tilt,
@@ -15,7 +15,9 @@ from vflab import (
     kl_functional,
     log_integral,
     recover_L_from_J,
+    tail_limsup,
 )
+from vflab import convex_duality
 from vflab.errors import InfeasibleJ, SpaceMismatch, ValidationError
 from vflab.functionals import FunctionalHandle
 from vflab.space import BoundedFunction, FiniteSpace
@@ -123,7 +125,8 @@ class TestConjugate:
         assert report.value == math.inf
         assert not report.converged
 
-    def test_nonconvex_claim_warns(self):
+    def test_nonconvex_claim_warns(self, monkeypatch):
+        monkeypatch.setattr(convex_duality, "MAX_ITERS", 5)
         space = FiniteSpace.default(2)
         handle = FunctionalHandle(
             "just_max",
@@ -134,12 +137,18 @@ class TestConjugate:
             claims_sigma_continuous=True,
         )
         with pytest.warns(UserWarning, match="convex"):
-            conjugate_J(handle, ProbabilityMeasure([0.5, 0.5]), AscentOptions(max_iters=5))
+            conjugate_J(handle, ProbabilityMeasure([0.5, 0.5]))
 
     def test_length_mismatch(self):
         L = log_integral(ProbabilityMeasure([0.5, 0.5]))
         with pytest.raises(SpaceMismatch):
             conjugate_J(L, ProbabilityMeasure([1.0]))
+
+    def test_tail_domain_refused(self):
+        # a tail-domain row carries one more column than the domain has points
+        L = tail_limsup(TailDomain([0.0, 1.0, 2.0]))
+        with pytest.raises(ValidationError, match="rows are its points"):
+            conjugate_J(L, ProbabilityMeasure([0.25, 0.25, 0.5]))
 
     @pytest.mark.parametrize("case", [36, 87])
     def test_newton_converges_on_float_flat_cases(self, case):
@@ -151,7 +160,8 @@ class TestConjugate:
         assert report.iterations <= 20
         assert abs(report.value - kl_divergence(mu, nu)) <= 1e-12
 
-    def test_handle_without_hessian_converges(self):
+    def test_handle_without_hessian_converges(self, monkeypatch):
+        monkeypatch.setattr(convex_duality, "MAX_ITERS", 1000)
         # the direction needs the gradient alone, so this handle takes the
         # same path as log_integral itself
         nu, mu = criterion_4_pair(87)
@@ -165,7 +175,7 @@ class TestConjugate:
             claims_sigma_continuous=True,
             gradient=L.gradient,
         )
-        report = conjugate_J(gradient_only, mu, AscentOptions(max_iters=1000))
+        report = conjugate_J(gradient_only, mu)
         assert report.converged
         assert report.iterations <= 20
         assert abs(report.value - kl_divergence(mu, nu)) <= 1e-12
@@ -232,23 +242,25 @@ class TestStopReason:
         assert report.stop_reason == "value_cap"
         assert report.value == math.inf and report.iterations == 1
 
-    def test_uncapped_support_violation_still_stops(self):
+    def test_uncapped_support_violation_still_stops(self, monkeypatch):
         # the value climbs until a step leaves the float range
+        monkeypatch.setattr(convex_duality, "VALUE_CAP", math.inf)
         L = log_integral(ProbabilityMeasure([1.0, 0.0]))
-        report = conjugate_J(L, ProbabilityMeasure([0.5, 0.5]), AscentOptions(value_cap=math.inf))
+        report = conjugate_J(L, ProbabilityMeasure([0.5, 0.5]))
         assert report.stop_reason == "value_cap"
         assert report.iterations <= 20
         assert np.isfinite(report.maximizer.values).all()
 
-    def test_max_iters(self):
+    def test_max_iters(self, monkeypatch):
+        monkeypatch.setattr(convex_duality, "MAX_ITERS", 1)
         nu, mu = self.PAIR
-        report = conjugate_J(log_integral(nu), mu, AscentOptions(max_iters=1))
+        report = conjugate_J(log_integral(nu), mu)
         assert report.stop_reason == "max_iters"
         assert report.iterations == 1 and not report.converged
 
     def test_stalled_below_float_resolution(self):
         nu, mu = self.PAIR
-        report = conjugate_J(log_integral(nu), mu, AscentOptions(grad_tolerance=1e-30))
+        report = conjugate_J(log_integral(nu), mu, tol=1e-30)
         assert report.stop_reason == "stalled" and not report.converged
         assert report.value == pytest.approx(KL_3Q_HALF, abs=1e-15)
 
@@ -273,8 +285,7 @@ class TestStopReason:
         F = FiniteSpace.default(3).function([1.0, -0.5, 0.25])
         J = kl_functional(nu)
         assert recover_L_from_J(J, 0.0, F).stop_reason == "stationary"
-        tight = AscentOptions(grad_tolerance=1e-30)
-        assert recover_L_from_J(J, 0.0, F, tight).stop_reason == "stalled"
+        assert recover_L_from_J(J, 0.0, F, tol=1e-30).stop_reason == "stalled"
 
 
 class TestRecover:
@@ -356,23 +367,12 @@ class TestRecover:
             recover_L_from_J(J, 0.0, F)
 
 
-class TestAscentOptions:
-    def test_rejects_nonpositive_knobs(self):
-        with pytest.raises(ValidationError):
-            AscentOptions(step_init=0.0)
-        with pytest.raises(ValidationError):
-            AscentOptions(grad_tolerance=-1.0)
-        with pytest.raises(ValidationError):
-            AscentOptions(max_iters=0)
-        for knob in ("step_init", "grad_tolerance", "value_cap", "finite_difference_h"):
-            with pytest.raises(ValidationError):
-                AscentOptions(**{knob: math.nan})
-        for knob in ("step_init", "grad_tolerance", "finite_difference_h"):
-            with pytest.raises(ValidationError):
-                AscentOptions(**{knob: math.inf})
-        assert AscentOptions(value_cap=math.inf).value_cap == math.inf
-
-    def test_defaults(self):
-        opts = AscentOptions()
-        assert opts.max_iters == 10000
-        assert opts.grad_tolerance == 1e-8
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_both_ascents_refuse_a_bad_tol(self, tol):
+        nu = ProbabilityMeasure([0.5, 0.5])
+        F = FiniteSpace.default(2).function([1.0, 0.0])
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            conjugate_J(log_integral(nu), ProbabilityMeasure([0.75, 0.25]), tol=tol)
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            recover_L_from_J(kl_functional(nu), 0.0, F, tol=tol)

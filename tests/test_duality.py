@@ -39,12 +39,9 @@ class TestPitSchedule:
             PitSchedule((1.0, 1.0))
         with pytest.raises(ValidationError):
             PitSchedule((-1.0, 2.0))
-        with pytest.raises(ValidationError):
-            PitSchedule((1.0,), stall_tolerance=0.0)
-        for bad in ({"depths": (1.0, math.nan, 4.0)}, {"depths": (1.0, math.inf)},
-                    {"stall_tolerance": math.nan}, {"divergence_slope": math.nan}):
+        for bad in ((1.0, math.nan, 4.0), (1.0, math.inf)):
             with pytest.raises(ValidationError):
-                PitSchedule(**bad)
+                PitSchedule(bad)
 
     def test_capped(self):
         s = PitSchedule().capped(5)

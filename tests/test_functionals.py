@@ -18,6 +18,7 @@ from vflab import (
 )
 from vflab.errors import AllInfiniteRate, SpaceMismatch, ValidationError
 from vflab.functionals import DEFAULT_TAIL_GRID, TailDomain
+from vflab.space import _lse
 
 
 class TestLogIntegral:
@@ -174,6 +175,20 @@ class TestLdpTerm:
         for n in (10**400, 2**1024, math.inf, math.nan):  # past the float range, or no number
             with pytest.raises(ValidationError):
                 ldp_term(mu, n)
+
+    def test_n_times_f_past_the_float_range(self):
+        # n F overflows: the value is the top supported F less a vanishing
+        # correction, the gradient sits on that point, and rows that stay
+        # in range keep the plain form's bits
+        L = ldp_term(ProbabilityMeasure([0.25, 0.25, 0.5]), 4)
+        rows = np.array([[1e308, 0.0, 1.0], [0.0, 0.0, 1.0], [-1e308, -1.7e308, -1e308]])
+        assert L.evaluate_many(rows).tolist() == [1e308, _lse(4 * rows[1] + np.log([0.25, 0.25, 0.5])) / 4, -1e308]
+        assert L(L.space.function(rows[0])) == 1e308
+        assert L.gradient(rows[0]).tolist() == [1.0, 0.0, 0.0]
+        # a zero-weight point drops out however large F is there
+        Z = ldp_term(ProbabilityMeasure([2 / 3, 0.0, 1 / 3]), 4)
+        assert Z(Z.space.function([1.0, 1e308, 2.0])) == pytest.approx(Z(Z.space.function([1.0, 0.0, 2.0])), abs=1e-12)
+        assert Z.gradient(np.array([1.0, 1e308, 2.0]))[1] == 0.0
 
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3), st.integers(1, 2000))
     @settings(max_examples=60, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 
 from vflab import (
     FiniteSpace,
-    FitOptions,
     GridFunction,
     MeasureSequence,
     ProbabilityMeasure,
@@ -252,12 +251,6 @@ class TestLdpValueAndLimit:
         seq = MeasureSequence("seesaw", entries)
         report = estimate_limit(seq, lambda x: x)
         assert not report.converged
-
-    def test_fit_options_frozen_defaults(self):
-        opts = FitOptions()
-        assert opts.fit_fraction == 0.5
-        assert opts.residual_tolerance == 1e-3
-        assert opts.final_step_tolerance == 1e-2
 
 
 class TestTightness:
