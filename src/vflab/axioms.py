@@ -67,6 +67,8 @@ def _validate_run(trials: int, seed: int, tol: float) -> None:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     if not np.isfinite(tol):
         raise ValidationError(f"tolerance must be finite, got {tol!r}")
+    if tol < 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {tol!r}")
 
 
 def _draw(rngs, *fields) -> dict:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AllInfiniteRate, ValidationError
-from .space import BoundedFunction, RateFunction, _finite, _require_same_space, _row_blocks
+from .space import BoundedFunction, FiniteSpace, RateFunction, _finite, _require_same_space, _row_blocks
 
 # values in (-1e-12, 0) coming out of the L(0) cancellation collapse to 0.0
 # so RateFunction's nonnegativity accepts them
@@ -201,12 +202,20 @@ def representation_gap(
 
 @dataclass(frozen=True)
 class SublevelSet:
-    """Points with rate <= a, plus their diameter under the space metric."""
+    """Points with rate <= a, plus their diameter under the space metric.
 
-    labels: tuple[str, ...]
+    labels are looked up in space only when read.
+    """
+
+    space: FiniteSpace
     indices: tuple[int, ...]
     diameter: float
     level: float
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        ids = self.space.point_ids
+        return tuple(ids[i] for i in self.indices)
 
 
 def sublevel_set(rate: RateFunction, a: float) -> SublevelSet:
@@ -218,10 +227,9 @@ def sublevel_set(rate: RateFunction, a: float) -> SublevelSet:
     if not a > 0:  # refuses nan as well
         raise ValidationError("sublevel threshold must be positive")
     idx = np.nonzero(rate.values <= a)[0]
-    labels = tuple(rate.space.point_ids[int(i)] for i in idx)
     return SublevelSet(
-        labels=labels,
-        indices=tuple(int(i) for i in idx),
+        space=rate.space,
+        indices=tuple(idx.tolist()),
         diameter=rate.space.subset_diameter(idx),
         level=float(a),
     )

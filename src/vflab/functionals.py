@@ -143,8 +143,13 @@ class TailDomain(FiniteSpace):
         coords = grid.coords
         if np.any(np.diff(coords) <= 0) or coords[0] < 0:
             raise ValidationError("tail grid must be increasing and nonnegative")
-        super().__init__(grid.point_ids, _coords=coords)
+        self._init_derived(len(grid), coords)
         self.grid = grid
+
+    @property
+    def point_ids(self) -> tuple[str, ...]:
+        """The grid's labels: the domain derives none of its own."""
+        return self.grid.point_ids
 
     @property
     def row_width(self) -> int:

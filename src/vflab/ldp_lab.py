@@ -96,6 +96,11 @@ class GridFunction:
         return np.interp(x, self.xs, self.ys)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+
+
 def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear weights and log-gamma log weights for Binomial(n, p).
 
@@ -108,9 +113,13 @@ def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     n = int(n)
     if n < 1:
         raise ValidationError("n must be a positive integer")
+    return _binomial_weights(n, p, _log_factorials(n))
 
+
+def _binomial_weights(n: int, p: float, lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """binomial_weights for valid n and p, with lf[k] = log k! for k = 0..n at least."""
+    lf = lf[: n + 1]
     k = np.arange(n + 1)
-    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
     log_w = (
         lf[n]
         - lf
@@ -144,9 +153,12 @@ def cramer_sequence(p: float, schedule) -> MeasureSequence:
         raise ValidationError("schedule is empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvariantViolation("schedule must be strictly increasing")
+    if ns[0] < 1:
+        raise ValidationError("n must be a positive integer")
+    lf = _log_factorials(ns[-1])  # one table, sliced for every n
     entries = []
     for n in ns:
-        w, log_w = binomial_weights(n, float(p))
+        w, log_w = _binomial_weights(n, float(p), lf)
         entries.append(
             SequenceEntry(
                 n=n,

@@ -12,7 +12,8 @@ throughout; analytic tolerances live with the callers.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -85,12 +86,32 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _line_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    if len(coords) != n or not np.all(np.isfinite(coords)):
+        raise ValidationError("coords must be finite and match the label count")
+    return _freeze(coords)
+
+
 def _finite(x, name: str) -> float:
     """float(x), refusing nan and +-inf."""
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _distinct_labels(coords: np.ndarray) -> bool:
+    """Whether repr gives every coordinate a label of its own.
+
+    repr tells apart any two floats that differ in a bit (0.0 and -0.0
+    too) and prints every nan as "nan", so this compares bit patterns
+    with all nans made one.
+    """
+    if np.all(coords[1:] > coords[:-1]):  # strictly increasing: every grid
+        return True
+    # all ones is a nan pattern, so no number shares it
+    bits = np.where(np.isnan(coords), -1, coords.view(np.int64))
+    return len(np.unique(bits)) == len(coords)
 
 
 class FiniteSpace:
@@ -100,26 +121,31 @@ class FiniteSpace:
     metric |x_i - x_j|, or, with neither given, the discrete metric.  The
     last two are computed on demand, so grids with 2^16 + 1 points and
     large default spaces never materialize a matrix.
+
+    Labels are given, or derived: from_line without labels and default
+    store only their coordinates or size, and build point_ids (repr of
+    each coordinate, or x1..xn) and the label index on first use.  Two
+    spaces are equal when they have the same type, coordinates, metric
+    and labels; between two derived spaces the labels are compared
+    through what they derive from (the coordinates' bits, or the size),
+    and against a given-label space through the labels themselves.
     """
 
-    __slots__ = ("point_ids", "_matrix", "_coords", "_index")
+    __slots__ = ("_size", "_ids", "_index", "_matrix", "_coords")
 
     def __init__(self, point_ids: Sequence[str], metric=None, *, _coords=None):
         ids = tuple(str(p) for p in point_ids)
+        index = {p: i for i, p in enumerate(ids)}
         if len(ids) < 1:
             raise ValidationError("a space needs at least one point")
-        if len(set(ids)) != len(ids):
+        if len(index) != len(ids):
             raise ValidationError("point labels must be unique")
-        self.point_ids = ids
-        self._index = {p: i for i, p in enumerate(ids)}
         n = len(ids)
+        self._size, self._ids, self._index = n, ids, index
 
         self._coords = self._matrix = None  # neither: the discrete metric
         if _coords is not None:
-            coords = _as_float_array(_coords, "coords")
-            if len(coords) != n or not np.all(np.isfinite(coords)):
-                raise ValidationError("coords must be finite and match the label count")
-            self._coords = _freeze(coords)
+            self._coords = _line_coords(_as_float_array(_coords, "coords"), n)
         elif metric is not None:
             try:
                 m = np.array(metric, dtype=float)
@@ -141,18 +167,46 @@ class FiniteSpace:
                     raise ValidationError("metric violates the triangle inequality")
             self._matrix = _freeze(m)
 
+    def _init_derived(self, size: int, coords: np.ndarray | None) -> None:
+        """Set up a space whose labels are built on first use."""
+        if size < 1:
+            raise ValidationError("a space needs at least one point")
+        self._size, self._coords = size, coords
+        self._ids = self._index = self._matrix = None
+
     @classmethod
     def from_line(cls, coords, point_ids: Sequence[str] | None = None) -> "FiniteSpace":
-        """Space of points on the real line; metric is |x - y|, never materialized."""
+        """Space of points on the real line; metric is |x - y|, never materialized.
+
+        Without point_ids the labels are repr of each coordinate, derived
+        on first use; they must still come out unique.
+        """
         arr = _as_float_array(coords, "coords")
-        if point_ids is None:
-            point_ids = [repr(float(c)) for c in arr]
-        return cls(point_ids, _coords=arr)
+        if point_ids is not None:
+            return cls(point_ids, _coords=arr)
+        if not _distinct_labels(arr):
+            raise ValidationError("point labels must be unique")
+        space = cls.__new__(cls)
+        space._init_derived(len(arr), _line_coords(arr, len(arr)))
+        return space
 
     @classmethod
     def default(cls, n: int) -> "FiniteSpace":
         """Discrete space with labels x1..xn, used when callers hand in bare weights."""
-        return cls([f"x{i}" for i in range(1, n + 1)])
+        space = cls.__new__(cls)
+        space._init_derived(operator.index(n), None)
+        return space
+
+    @property
+    def point_ids(self) -> tuple[str, ...]:
+        """The point labels, in index order."""
+        if self._ids is None:
+            if self._coords is not None:
+                # repr of a tolist() float is repr(float(c)), byte for byte
+                self._ids = tuple(map(repr, self._coords.tolist()))
+            else:
+                self._ids = tuple(f"x{i}" for i in range(1, self._size + 1))
+        return self._ids
 
     @property
     def coords(self) -> np.ndarray | None:
@@ -169,7 +223,7 @@ class FiniteSpace:
         return len(self)
 
     def __len__(self) -> int:
-        return len(self.point_ids)
+        return self._size
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -179,13 +233,23 @@ class FiniteSpace:
         # only what is stored; np.array_equal(None, x) holds for x None alone
         return (
             type(self) is type(other)
-            and self.point_ids == other.point_ids
+            and self._size == other._size
             and np.array_equal(self._coords, other._coords)
             and np.array_equal(self._matrix, other._matrix)
+            and self._same_labels(other)
         )
 
+    def _same_labels(self, other: "FiniteSpace") -> bool:
+        if self._ids is None and other._ids is None:
+            # derived on both sides; the coordinates already compare equal
+            # as numbers, and their bits tell 0.0 from -0.0 as repr does
+            c = self._coords
+            return c is None or np.array_equal(c.view(np.int64), other._coords.view(np.int64))
+        return self.point_ids == other.point_ids
+
     def __hash__(self):
-        return hash(self.point_ids)
+        # equal spaces share their type and size; their labels need not be built
+        return hash((type(self), self._size))
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self)} points)"
@@ -197,6 +261,8 @@ class FiniteSpace:
             if 0 <= i < len(self):
                 return i
             raise PointNotInSpace(f"index {i} out of range for {len(self)} points")
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.point_ids)}
         try:
             return self._index[str(point)]
         except KeyError:
@@ -217,9 +283,9 @@ class FiniteSpace:
             return np.ones((len(self), len(self))) - np.eye(len(self))
         return np.abs(c[:, None] - c[None, :])
 
-    def subset_diameter(self, indices: Iterable[int]) -> float:
+    def subset_diameter(self, indices: Sequence[int] | np.ndarray) -> float:
         """Max pairwise distance over the subset; 0 for empty or singleton sets."""
-        idx = np.fromiter(indices, dtype=int)
+        idx = np.asarray(indices, dtype=np.intp)
         if len(idx) <= 1:
             return 0.0
         if self._coords is not None:
@@ -292,7 +358,8 @@ class BoundedFunction:
         return self.space == other.space and bool(np.array_equal(self.row, other.row))
 
     def __hash__(self):
-        return hash((self.space.point_ids, self.row.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((self.space, (self.row + 0.0).tobytes()))
 
     @property
     def row(self) -> np.ndarray:
@@ -426,7 +493,8 @@ class RateFunction:
         return self.space == other.space and bool(np.array_equal(self.values, other.values))
 
     def __hash__(self):
-        return hash((self.space.point_ids, self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((self.space, (self.values + 0.0).tobytes()))
 
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
@@ -467,8 +535,6 @@ def validate_decreasing(seq) -> DecreasingSequence:
     if not terms:
         raise ValidationError("empty sequence")
     space = terms[0].space
-    # a row column past the points is a tail column
-    labels = space.point_ids + ("tail",)
     for k, term in enumerate(terms):
         _require_same_space(space, term.space)
         if np.any(term.row < 0):
@@ -476,6 +542,8 @@ def validate_decreasing(seq) -> DecreasingSequence:
     for k in range(1, len(terms)):
         bad = np.nonzero(terms[k].row > terms[k - 1].row)[0]
         if len(bad):
-            raise NotMonotone(k, labels[int(bad[0])])
+            i = int(bad[0])
+            # a row column past the points is a tail column
+            raise NotMonotone(k, space.point_ids[i] if i < len(space) else "tail")
     residual = float(np.max(np.abs(terms[-1].values)))
     return DecreasingSequence(terms, residual)

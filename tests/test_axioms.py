@@ -252,7 +252,7 @@ def test_trials_must_be_positive():
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("bad", [{"seed": -5}, {"seed": 1.5}, {"tol": math.nan}, {"tol": math.inf}])
+@pytest.mark.parametrize("bad", [{"seed": -5}, {"seed": 1.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0}])
 def test_bad_seed_or_tolerance_refused_before_any_draw(check, bad):
     L = log_integral(ProbabilityMeasure([0.5, 0.5]))
     with pytest.raises(ValidationError):
@@ -263,6 +263,16 @@ def test_sigma_refuses_a_nan_tolerance():
     L = log_integral(ProbabilityMeasure([0.5, 0.5]))
     with pytest.raises(ValidationError):
         check_sigma_continuity(L, vanishing_sequence(L.space), tol=math.nan)
+
+
+def test_negative_tolerance_refused_and_zero_accepted():
+    L = sup_form(RateFunction([0.0, 1.0], FiniteSpace.default(2)))
+    with pytest.raises(ValidationError, match="tolerance must be nonnegative, got -1.0"):
+        check_monotone(L, trials=20, tol=-1.0)
+    with pytest.raises(ValidationError):
+        check_sigma_continuity(L, vanishing_sequence(L.space), tol=-1e-300)
+    report = check_monotone(L, trials=20, tol=0.0)
+    assert report.violations == 0 and report.tolerance == 0.0
 
 
 def test_check_registry_names():

@@ -167,6 +167,14 @@ class TestCheck:
         assert doc["violations"] > 0
         assert doc["witness"]["F"]["values"]
 
+    def test_zero_tol_is_valid(self, tmp_path, capsys):
+        f = write(tmp_path, "S.json", {"kind": "sup_form", "rate": [0.0, 1.0]})
+        code, out, err = run_cli(
+            capsys, "check", "--functional", f, "--property", "monotone", "--trials", "20", "--tol", "0"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["tolerance"] == 0.0
+
     def test_sigma_paths(self, tmp_path, capsys):
         tail = write(tmp_path, "T.json", {"kind": "tail_limsup"})
         code, out, _ = run_cli(capsys, "check", "--functional", tail, "--property", "sigma")
@@ -312,12 +320,14 @@ class TestErrorRecords:
             ("conjugate", "--functional", "{L}", "--measure", "{mu}", "--tol", "-1"),
             ("recover", "--measure", "{mu}", "--f", "{F2}", "--tol", "0"),
             ("conjugate", "--functional", "{T}", "--measure", "{mu3}"),
+            ("check", "--functional", "{S01}", "--property", "monotone", "--trials", "20", "--tol", "-1"),
         ],
         ids=[
             "negative_seed", "nan_tol", "sigma_nan_tol", "nan_level", "inf_ascent_tol",
             "eval_nan_L0", "eval_inf_L0", "reconstruct_nan_L0", "reconstruct_inf_L0",
             "check_nan_L0", "gap_inf_L0", "empty_tail_grid", "eval_huge_n", "conjugate_huge_n",
             "conjugate_negative_tol", "recover_zero_tol", "conjugate_tail_domain",
+            "check_negative_tol",
         ],
     )
     def test_non_finite_or_negative_inputs_exit_2(self, tmp_path, capsys, argv):
@@ -328,6 +338,7 @@ class TestErrorRecords:
             "F2": write(tmp_path, "F2.json", {"values": [0.0, 1.0]}),
             "mu3": write(tmp_path, "mu3.json", {"weights": [0.25, 0.25, 0.5]}),
             "T": write(tmp_path, "T.json", {"kind": "tail_limsup", "grid": [0, 1, 2]}),
+            "S01": write(tmp_path, "S01.json", {"kind": "sup_form", "rate": [0.0, 1.0]}),
             "S_nan": write(tmp_path, "S_nan.json", dict(SUP3, L0="nan")),
             "S_inf": write(tmp_path, "S_inf.json", dict(SUP3, L0="inf")),
             "rate_nan": write(tmp_path, "rate_nan.json", {"L0": "nan", "rate": [0.0, 1.0, "inf"]}),
@@ -466,3 +477,73 @@ class TestEntryPoint:
         b = subprocess.run(argv, capture_output=True)
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+def _non_finite_fields(doc, path=""):
+    """(path, value) for every field of a report that is not a finite number."""
+    if isinstance(doc, dict):
+        return [f for k, v in doc.items() for f in _non_finite_fields(v, f"{path}.{k}")]
+    if isinstance(doc, list):
+        return [f for i, v in enumerate(doc) for f in _non_finite_fields(v, f"{path}[{i}]")]
+    if isinstance(doc, float) and not math.isfinite(doc) or doc in ("inf", "-inf", "nan"):
+        return [(path, doc)]
+    return []
+
+
+def _documented_inf(doc, path, value) -> bool:
+    # a rate excludes a point with "inf"; a conjugate stopped at value_cap is J(mu) = inf
+    if value != "inf":
+        return False
+    return bool(re.fullmatch(r"\.rate\[\d+\]", path)) or (
+        path == ".value" and doc.get("stop_reason") == "value_cap"
+    )
+
+
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} in a JSON report")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--functional", "{S}", "--f", "{F3}"),
+        ("eval", "--functional", "{T}", "--f", "{Ftail}"),
+        ("dual", "--functional", "{S}"),
+        ("dual", "--functional", "{L}"),
+        ("dual", "--functional", "{T}"),
+        ("reconstruct", "--rate", "{rate}", "--f", "{F3}"),
+        ("gap", "--functional", "{L}", "--f", "{F2}"),
+        ("gap", "--functional", "{S}", "--f", "{F3}"),
+        ("conjugate", "--functional", "{L}", "--measure", "{mu2}"),
+        ("conjugate", "--functional", "{L_zero}", "--measure", "{mu2}"),
+        ("recover", "--measure", "{mu2}", "--f", "{F2}"),
+        ("check", "--functional", "{L}", "--property", "maximal", "--trials", "50"),
+        ("check", "--functional", "{S}", "--property", "monotone", "--trials", "50"),
+        ("check", "--functional", "{T}", "--property", "sigma"),
+        ("cramer", "--p", "0.3", "--schedule", "16,64,256", "--f", "{grid}"),
+        ("tightness", "--p", "0.3", "--level", "0.1"),
+        ("tightness", "--p", "0.3", "--level", "1e-9"),
+    ],
+    ids=[
+        "eval", "eval_tail", "dual_sup", "dual_log", "dual_tail", "reconstruct", "gap_log",
+        "gap_sup", "conjugate", "conjugate_zero_weight", "recover", "check_witness", "check_pass",
+        "check_sigma", "cramer", "tightness", "tightness_empty_levels",
+    ],
+)
+def test_every_report_field_is_finite(tmp_path, capsys, argv):
+    files = {
+        "L": write(tmp_path, "L.json", UNIFORM2),
+        "L_zero": write(tmp_path, "Lz.json", {"kind": "log_integral", "measure": [0.0, 1.0]}),
+        "S": write(tmp_path, "S.json", SUP3),
+        "T": write(tmp_path, "T.json", {"kind": "tail_limsup", "grid": [0.0, 1.0, 2.0]}),
+        "F2": write(tmp_path, "F2.json", {"values": [0.3, -1.0]}),
+        "F3": write(tmp_path, "F3.json", {"values": [0.3, -1.0, 2.0]}),
+        "Ftail": write(tmp_path, "Ft.json", {"values": [0.3, -1.0, 2.0], "tail_value": 0.5}),
+        "rate": write(tmp_path, "rate.json", {"L0": 0.5, "rate": [0.0, 1.0, "inf"], "coords": [0.0, 0.5, 1.0]}),
+        "mu2": write(tmp_path, "mu2.json", {"weights": [0.4, 0.6]}),
+        "grid": write(tmp_path, "grid.json", {"values": [0.0, 1.0], "xs": [0.0, 1.0]}),
+    }
+    code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+    assert code in (0, 1, 3) and err == ""
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert [f for f in _non_finite_fields(doc) if not _documented_inf(doc, *f)] == []

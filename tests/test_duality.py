@@ -21,6 +21,7 @@ from vflab import (
     tail_limsup,
 )
 from vflab.errors import AllInfiniteRate, ValidationError
+from vflab.ldp_lab import MeasureSequence, SequenceEntry, binomial_weights, cramer_grid_space, tightness_scan
 
 LN4 = 1.3862943611198906
 LN_4_3 = 0.2876820724517809
@@ -171,6 +172,21 @@ class TestSublevelSet:
         assert s.indices == (0, 1)
         assert s.diameter == 1.0
         assert s.level == 0.5
+
+    def test_labels_and_indices_keep_their_types(self):
+        space = FiniteSpace.from_line([0.0, -0.0, 0.25, 1.0])
+        s = sublevel_set(RateFunction([0.0, 0.5, 2.0, 0.1], space), 0.5)
+        assert s.indices == (0, 1, 3) and all(type(i) is int for i in s.indices)
+        assert s.labels == ("0.0", "-0.0", "1.0") and all(type(p) is str for p in s.labels)
+        named = FiniteSpace(["a", "b", "c"])
+        t = sublevel_set(RateFunction([1.0, 0.0, 0.0], named), 0.5)
+        assert t.labels == ("b", "c") and t.indices == (1, 2) and t.diameter == 1.0
+
+    def test_a_tightness_scan_builds_no_labels(self):
+        space = cramer_grid_space(65536)
+        seq = MeasureSequence("one entry", (SequenceEntry(65536, space, ProbabilityMeasure(binomial_weights(65536, 0.3)[0])),))
+        assert tightness_scan(seq, 0.01)[0][1] > 0
+        assert space._ids is None and space._index is None
 
     def test_empty_and_singleton_have_zero_diameter(self):
         space = FiniteSpace.from_line([0.0, 1.0])

@@ -95,7 +95,16 @@ class TestCramerPieces:
             assert np.array_equal(entry.space.coords, np.arange(n + 1) / n)
             assert len(entry.measure) == n + 1
 
+    def test_shared_table_gives_the_weights_bit_for_bit(self):
+        seq = cramer_sequence(0.3, [1, 7, 64, 1000])
+        for entry in seq.entries:
+            w, log_w = binomial_weights(entry.n, 0.3)
+            assert np.array_equal(entry.measure.weights, w)
+            assert np.array_equal(entry.measure.log_weights, log_w)
+
     def test_schedule_validation(self):
+        with pytest.raises(ValidationError):
+            cramer_sequence(0.5, [0, 2])
         with pytest.raises(ValidationError):
             cramer_sequence(0.5, [])
         with pytest.raises(InvariantViolation):

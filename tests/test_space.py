@@ -94,6 +94,66 @@ class TestFiniteSpace:
         assert a.distance(0, 4999) == 1.0 and a.subset_diameter([3, 3]) == 0.0
         assert FiniteSpace.default(3).metric_matrix().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
+    def test_signed_zeros_are_distinct_points(self):
+        s = FiniteSpace.from_line([0.0, -0.0])
+        assert s.point_ids == ("0.0", "-0.0")
+        assert FiniteSpace.from_line([0.0, 1.0]) != FiniteSpace.from_line([-0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "coords, detail",
+        [
+            ([0.5, 0.5], "point labels must be unique"),
+            ([1.0, 0.5, 1.0], "point labels must be unique"),
+            ([math.nan, math.nan], "point labels must be unique"),
+            ([math.nan, -math.nan], "point labels must be unique"),
+            ([math.inf, math.inf], "point labels must be unique"),
+            ([math.nan, 1.0], "coords must be finite and match the label count"),
+            ([-math.inf, 1.0], "coords must be finite and match the label count"),
+            ([], "a space needs at least one point"),
+        ],
+    )
+    def test_line_labels_refused_as_repr_would_collide(self, coords, detail):
+        with pytest.raises(ValidationError) as err:
+            FiniteSpace.from_line(coords)
+        assert str(err.value) == detail
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1e-300, math.inf, -math.inf, math.nan]) | st.floats(), max_size=6))
+    def test_line_labels_are_the_reprs_of_the_coords(self, coords):
+        labels = [repr(float(c)) for c in coords]
+        ok = len(set(labels)) == len(labels) and all(math.isfinite(c) for c in coords) and coords
+        if not ok:
+            with pytest.raises(ValidationError):
+                FiniteSpace.from_line(coords)
+            return
+        s = FiniteSpace.from_line(coords)
+        assert s.point_ids == tuple(labels)
+        assert s == FiniteSpace.from_line(coords, point_ids=labels)
+
+    def test_derived_and_given_labels_compare_by_their_bytes(self):
+        c = [0.0, 0.1, 1 / 3, 2.5, 1e-300]
+        derived = FiniteSpace.from_line(c)
+        given_ = FiniteSpace.from_line(c, point_ids=[repr(x) for x in c])
+        assert derived == given_ and given_ == derived and hash(derived) == hash(given_)
+        assert derived.point_ids == given_.point_ids
+        assert FiniteSpace.from_line(c, point_ids=["a", "b", "c", "d", "e"]) != FiniteSpace.from_line(c)
+        named = FiniteSpace([f"x{i}" for i in range(1, 4)])
+        assert named == FiniteSpace.default(3) and hash(named) == hash(FiniteSpace.default(3))
+
+    def test_derived_labels_are_built_on_first_use(self):
+        s = FiniteSpace.from_line(np.arange(9) / 8)
+        assert s._ids is None and len(s) == 9
+        assert s == FiniteSpace.from_line(np.arange(9) / 8) and s._ids is None
+        assert s.point_ids[3] == repr(3 / 8) and s._ids is not None
+        assert FiniteSpace.default(4)._ids is None
+
+    def test_index_of_on_a_derived_line_space(self):
+        s = FiniteSpace.from_line([0.0, 0.5, 1.0])
+        assert s._index is None
+        assert s.index_of("0.5") == 1
+        with pytest.raises(PointNotInSpace):
+            s.index_of("0.50")
+
     def test_tail_domain_never_equals_its_grid(self):
         g = [0.0, 0.5, 2.0]
         assert TailDomain(g) != FiniteSpace.from_line(g)
@@ -115,6 +175,13 @@ class TestBoundedFunction:
             BoundedFunction([1.0, np.inf], s)
         with pytest.raises(ValidationError):
             BoundedFunction([1.0, np.nan], s)
+
+    def test_equal_functions_and_rates_hash_equal(self):
+        derived, given_ = FiniteSpace.from_line([0.0, 1.0]), FiniteSpace.from_line([0.0, 1.0], ["0.0", "1.0"])
+        F, G = derived.function([-0.0, 2.0]), given_.function([0.0, 2.0])
+        assert F == G and hash(F) == hash(G)
+        I, J = RateFunction([-0.0, math.inf], derived), RateFunction([0.0, math.inf], given_)
+        assert I == J and hash(I) == hash(J)
 
     def test_values_frozen(self):
         F = FiniteSpace.default(2).function([1.0, 2.0])
