@@ -64,8 +64,11 @@ def _emit(args, doc: dict, table=None) -> None:
     else:
         text = serialize.dumps(doc)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -86,8 +89,8 @@ def _parse_depth_schedule(args) -> PitSchedule:
     return sched
 
 
-def _parse_n_schedule(text: str) -> tuple[int, ...]:
-    if text == "default":
+def _parse_n_schedule(text: str | None) -> tuple[int, ...]:
+    if text in (None, "default"):
         return CRAMER_DEFAULT_SCHEDULE
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -188,12 +191,12 @@ def _cmd_cramer(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
-    if args.p is not None:
-        seq = cramer_sequence(args.p, _parse_n_schedule(args.schedule))
-    elif args.measure:
+    if args.p is None:
+        if args.schedule is not None:
+            raise _UsageError("argument --schedule: not allowed with argument --measure")
         seq = serialize.load_measure_sequence(args.measure)
     else:
-        raise _UsageError("tightness needs --p (Cramer instance) or --measure (sequence file)")
+        seq = cramer_sequence(args.p, _parse_n_schedule(args.schedule))
     pairs = tightness_scan(seq, args.level)
     _emit(args, serialize.encode_tightness(args.level, pairs), lambda: serialize.tightness_csv(pairs))
     return 0
@@ -263,9 +266,10 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_cramer)
 
     p = sub.add_parser("tightness", help="sublevel-set diameters across a measure sequence")
-    p.add_argument("--p", type=float, help="build the Cramer instance for this p")
-    p.add_argument("--schedule", default="default")
-    p.add_argument("--measure", help="ingest a measure-sequence file instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--p", type=float, help="build the Cramer instance for this p")
+    source.add_argument("--measure", help="ingest a measure-sequence file instead")
+    p.add_argument("--schedule", help="'default' or comma-separated n values; --p only")
     p.add_argument("--level", type=float, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_tightness)

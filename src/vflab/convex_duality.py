@@ -281,28 +281,16 @@ def dirac_functional(mu0: ProbabilityMeasure) -> MeasureFunctional:
     return MeasureFunctional("dirac", fn, feasible_start=mu0)
 
 
-def _eval_J(J, weights: np.ndarray) -> float:
-    if np.any(weights < 0):
-        return float("inf")
-    total = weights.sum()
-    return float(J(ProbabilityMeasure(weights / total)))
+def _tangent_objective_grad(objective, weights, base):
+    """FD supergradient of objective along simplex exchange directions.
 
-
-def _tangent_objective_grad(J, F_vals, weights, base):
-    """FD supergradient of mu(F) - J(mu) along simplex exchange directions.
-
-    Direction i trades mass between coordinate i and the last coordinate.
-    Blocked directions (both probes infeasible or infinite) contribute 0;
-    half-blocked ones get a one-sided slope clipped toward feasibility.
+    base is objective(weights).  Direction i trades mass between
+    coordinate i and the last coordinate.  Blocked directions (both probes
+    infeasible or infinite) contribute 0; half-blocked ones get a one-sided
+    slope clipped toward feasibility.
     """
     m, h = len(weights), FD_STEP
     g = np.zeros(m)
-
-    def obj(w):
-        val = _eval_J(J, w)
-        return float(w @ F_vals) - val if np.isfinite(val) else -float("inf")
-
-    obj_base = float(weights @ F_vals) - base
     for i in range(m - 1):
         up = weights.copy()
         up[i] += h
@@ -310,14 +298,13 @@ def _tangent_objective_grad(J, F_vals, weights, base):
         dn = weights.copy()
         dn[i] -= h
         dn[m - 1] += h
-        fu = obj(up) if up[m - 1] >= 0 else -float("inf")
-        fd = obj(dn) if dn[i] >= 0 else -float("inf")
+        fu, fd = objective(up), objective(dn)
         if np.isfinite(fu) and np.isfinite(fd):
             g[i] = (fu - fd) / (2 * h)
         elif np.isfinite(fu):
-            g[i] = max((fu - obj_base) / h, 0.0)
+            g[i] = max((fu - base) / h, 0.0)
         elif np.isfinite(fd):
-            g[i] = min((obj_base - fd) / h, 0.0)
+            g[i] = min((base - fd) / h, 0.0)
         # both blocked: leave 0
     return g
 
@@ -345,6 +332,12 @@ def recover_L_from_J(
     F_vals = F.values
     m = len(F_vals)
 
+    def objective(w: np.ndarray) -> float:
+        if np.any(w < 0):
+            return -math.inf
+        j = float(J(ProbabilityMeasure(w / w.sum())))
+        return float(w @ F_vals) - j if np.isfinite(j) else -math.inf
+
     candidates = []
     start_hint = getattr(J, "feasible_start", None)
     if start_hint is not None:
@@ -358,7 +351,7 @@ def recover_L_from_J(
     for cand in itertools.chain(candidates, corners):
         interior = np.maximum(cand, EPS_INTERIOR)
         interior = interior / interior.sum()
-        if np.isfinite(_eval_J(J, interior)):
+        if objective(interior) > -math.inf:
             weights = interior
             break
     if weights is None:
@@ -366,15 +359,11 @@ def recover_L_from_J(
 
     grad_hook = getattr(J, "gradient", None) if exact_gradient else None
 
-    def objective(w: np.ndarray) -> float:
-        j = _eval_J(J, w)
-        return float(w @ F_vals) - j if np.isfinite(j) else -math.inf
-
     def descent(w: np.ndarray):
         if grad_hook is not None:
             g = F_vals - grad_hook(w)
         else:
-            g = _tangent_objective_grad(J, F_vals, w, _eval_J(J, w))
+            g = _tangent_objective_grad(objective, w, objective(w))
         centered = g - float(w @ g)
         viol = np.where(w > BOUNDARY_SNAP, np.abs(centered), np.maximum(centered, 0.0))
         # the mirror step moves log-weights along g, where the gradient is w * centered

@@ -20,8 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllInfiniteRate, ValidationError
-from .space import BoundedFunction, FiniteSpace, RateFunction, _finite, _require_same_space, _row_blocks
+from .errors import ValidationError
+from .functionals import sup_form
+from .space import BoundedFunction, FiniteSpace, RateFunction, _row_blocks
 
 # values in (-1e-12, 0) coming out of the L(0) cancellation collapse to 0.0
 # so RateFunction's nonnegativity accepts them
@@ -176,12 +177,8 @@ def dual_rate(L, sched: PitSchedule | None = None) -> DualReport:
 
 
 def reconstruct(rate: RateFunction, L0: float, F: BoundedFunction) -> float:
-    """L0 + max over points of (F - rate), infinite rate entries excluded."""
-    finite = rate.finite_mask()
-    if not finite.any():
-        raise AllInfiniteRate("cannot reconstruct from an all-infinite rate")
-    _require_same_space(F.space, rate.space)
-    return _finite(L0, "L0") + float(np.max(F.values[finite] - rate.values[finite]))
+    """L0 + max over points of (F - rate): sup_form(rate, L0) at F."""
+    return sup_form(rate, L0).evaluate(F)
 
 
 def representation_gap(

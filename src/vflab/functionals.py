@@ -215,44 +215,52 @@ def _coerce_measure(nu, space):
     return log_weights, space
 
 
+def _exponents(V, log_weights, n: int):
+    if n == 1:  # V + log weights stays in the float range
+        return V + log_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        return n * V + log_weights
+
+
+def _shifted(V, log_weights, n: int):
+    """(top, exponents) with V taken relative to its top supported value."""
+    W = np.where(np.isneginf(log_weights), -np.inf, V)
+    top = W.max(-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        return top[..., 0], n * (W - top) + log_weights
+
+
+def _log_rows(V, log_weights, n: int):
+    """(1/n) log sum e^{nV} w over the last axis: the row formula of ldp_term.
+
+    Where n V overflows, V is taken relative to its top supported value;
+    elsewhere the plain form runs.  A 1-d V gives a scalar.
+    """
+    out = _lse(_exponents(V, log_weights, n)) / n
+    if n > 1 and not np.isfinite(out).all():
+        top, z = _shifted(V, log_weights, n)
+        out = np.where(np.isfinite(out), out, top + _lse(z) / n)
+    return out
+
+
 def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
-    """L(F) = (1/n) log int e^{nF} dnu with its exact gradient.
+    """L(F) = (1/n) log int e^{nF} dnu, by _log_rows, with its exact gradient.
 
     The gradient is the tilted measure p, proportional to e^{nF} nu.  Zero
-    weights drop out as -inf log weights.  Where n F overflows, F is taken
-    relative to its top supported value; elsewhere the plain form runs.
+    weights drop out as -inf log weights.
     """
     log_weights, space = _coerce_measure(nu, space)
 
-    def exponents(V):
-        if n == 1:  # V + log weights stays in the float range
-            return V + log_weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            return n * V + log_weights
-
-    def shifted(V):
-        W = np.where(np.isneginf(log_weights), -np.inf, V)
-        top = W.max(-1, keepdims=True)
-        with np.errstate(over="ignore"):
-            return top[..., 0], n * (W - top) + log_weights
-
-    def rows(V):
-        out = _lse(exponents(V)) / n
-        if n > 1 and not np.isfinite(out).all():
-            top, z = shifted(V)
-            out = np.where(np.isfinite(out), out, top + _lse(z) / n)
-        return out
-
     def grad(values: np.ndarray) -> np.ndarray:
-        z = exponents(values)
+        z = _exponents(values, log_weights, n)
         if n > 1 and not (z < np.inf).all():
-            z = shifted(values)[1]
+            z = _shifted(values, log_weights, n)[1]
         return np.exp(z - _lse(z))
 
     return FunctionalHandle(
         name,
         space,
-        rows=rows,
+        rows=lambda V: _log_rows(V, log_weights, n),
         claims_maximal=False,
         claims_convex=True,
         claims_sigma_continuous=True,

@@ -21,7 +21,8 @@ import numpy as np
 
 from .duality import sublevel_set
 from .errors import InvalidP, InvariantViolation, ScheduleTooShort, ValidationError
-from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _lse
+from .functionals import _log_rows
+from .space import FiniteSpace, ProbabilityMeasure, RateFunction
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
 FIT_FRACTION = 0.5
@@ -188,12 +189,12 @@ def cramer_rate(p: float):
 
 
 def ldp_value(entry: SequenceEntry, F) -> float:
-    """(1/n) log int e^{nF} dmu_n straight from the stored log weights."""
+    """(1/n) log int e^{nF} dmu_n: ldp_term's row formula on F at the atoms."""
     coords = entry.space.coords
     if coords is None:
         raise ValidationError("continuum functions need a line space with coordinates")
     f_at_atoms = np.asarray(F(coords), dtype=float)
-    return _lse(entry.n * f_at_atoms + entry.measure.log_weights) / entry.n
+    return float(_log_rows(f_at_atoms, entry.measure.log_weights, entry.n))
 
 
 def estimate_limit(seq: MeasureSequence, F) -> LimitReport:

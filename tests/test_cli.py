@@ -50,6 +50,16 @@ class TestEval:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["value"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, where):
+        f = write(tmp_path, "L.json", UNIFORM2)
+        g = write(tmp_path, "F.json", {"values": [1.0, 1.0]})
+        target = str(tmp_path / "no" / "such" / "x.json") if where == "missing_dir" else str(tmp_path)
+        code, out, err = run_cli(capsys, "eval", "--functional", f, "--f", g, "--output", target)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f'vflab: error kind=usage detail="cannot write {target}: ')
+
 
 class TestDualAndReconstruct:
     def test_dual_report_shape(self, tmp_path, capsys):
@@ -270,6 +280,29 @@ class TestCramerAndTightness:
         code, _, err = run_cli(capsys, "tightness", "--level", "0.5")
         assert code == 2
         assert "kind=usage" in err
+
+    @pytest.mark.parametrize("extra", [["--p", "0.5"], ["--schedule", "4,16"]], ids=["p", "schedule"])
+    def test_tightness_refuses_flags_it_would_ignore(self, tmp_path, capsys, extra):
+        from vflab import cramer_sequence
+        from vflab.serialize import encode_measure_sequence
+
+        seq_file = write(tmp_path, "seq.json", encode_measure_sequence(cramer_sequence(0.5, [2, 4])))
+        code, out, err = run_cli(capsys, "tightness", "--measure", seq_file, "--level", "1.0", *extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f'vflab: error kind=usage detail="argument {extra[0]}: not allowed with argument --')
+
+    def test_overflowing_exponent_writes_no_warning(self, tmp_path, capsys):
+        from vflab.ldp_lab import REFERENCE_GRID
+
+        g = write(tmp_path, "G.json", {"values": [1e306 * float(x) for x in REFERENCE_GRID]})
+        code, out, err = run_cli(capsys, "cramer", "--p", "0.3", "--f", g)
+        assert err == ""
+        doc = json.loads(out)
+        assert [t["value"] for t in doc["terms"]] == [1e306] * 5
+        assert math.isfinite(doc["extrapolated"])
+        # the fit residual is absolute, so a limit this large never settles
+        assert code == 3
 
 
 class TestErrorRecords:

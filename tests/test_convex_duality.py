@@ -18,6 +18,7 @@ from vflab import (
     tail_limsup,
 )
 from vflab import convex_duality
+from vflab.convex_duality import MeasureFunctional
 from vflab.errors import InfeasibleJ, SpaceMismatch, ValidationError
 from vflab.functionals import FunctionalHandle
 from vflab.space import BoundedFunction, FiniteSpace
@@ -333,6 +334,45 @@ class TestRecover:
         assert report.maximizer.weights.tolist() == [1.0, 0.0]
         assert report.value == 1.25
 
+    @pytest.mark.parametrize("face", [0, 1])
+    def test_finite_difference_stops_on_a_face_of_j(self, face):
+        # J = KL(mu || nu) while mu[face] >= 0.3 and inf past it; F pushes mass
+        # off the face, so the sup sits on it, where the probe that would cross
+        # it is blocked and the one-sided slope decides
+        nu, c = ProbabilityMeasure([0.5, 0.5]), 0.3
+        J = MeasureFunctional(
+            "kl_face", lambda mu: kl_divergence(mu, nu) if mu.weights[face] >= c else math.inf, feasible_start=nu
+        )
+        values = np.zeros(2)
+        values[face] = -2.0
+        mu = np.full(2, 1 - c)
+        mu[face] = c
+        closed = float(mu @ values - mu @ np.log(mu / nu.weights))
+        report = recover_L_from_J(J, 0.0, FiniteSpace.default(2).function(values), exact_gradient=False)
+        assert report.converged
+        assert abs(report.maximizer.weights[face] - c) <= convex_duality.FD_STEP
+        assert closed - 2 * convex_duality.FD_STEP <= report.value <= closed + 1e-12
+
+    @pytest.mark.parametrize("face", [0, 1])
+    def test_one_sided_slope_on_a_face(self, face):
+        # on the face mu[face] = 0.3 with F pulling mass onto it, only the probe
+        # away from the face is feasible: a forward difference for face 0, a
+        # backward one for face 1, each unclipped and within O(FD_STEP) of the slope
+        nu, c = np.array([0.5, 0.5]), 0.3
+        F = np.zeros(2)
+        F[face] = 1.0
+        w = np.full(2, 1 - c)
+        w[face] = c
+
+        def objective(w):
+            return float(w @ F - w @ np.log(w / nu)) if w[face] >= c else -math.inf
+
+        slope = F[0] - F[1] - math.log(w[0] / nu[0]) + math.log(w[1] / nu[1])
+        g = convex_duality._tangent_objective_grad(objective, w, objective(w))
+        assert g[1] == 0.0
+        assert g[0] == pytest.approx(slope, abs=1e-5)
+        assert abs(slope) > 1.0
+
     @pytest.mark.parametrize("L0", [np.nan, np.inf])
     def test_non_finite_l0_rejected(self, L0):
         F = FiniteSpace.default(2).function([0.0, 0.0])
@@ -359,8 +399,6 @@ class TestRecover:
         assert peak < 8 * 2**20
 
     def test_infeasible_j_raises(self):
-        from vflab.convex_duality import MeasureFunctional
-
         J = MeasureFunctional("wall", lambda mu: math.inf)
         F = FiniteSpace.default(3).function([0.0, 0.0, 0.0])
         with pytest.raises(InfeasibleJ):

@@ -10,6 +10,7 @@ from vflab import (
     PitSchedule,
     ProbabilityMeasure,
     RateFunction,
+    TailDomain,
     dual_rate,
     dual_rate_at,
     log_integral,
@@ -105,18 +106,23 @@ class TestDualRate:
 
 class TestReconstruct:
     def test_matches_sup_form_evaluation(self):
-        space = FiniteSpace.default(3)
-        rate = RateFunction([0.0, 1.0, np.inf], space)
-        L = sup_form(rate, L0=-0.25)
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            F = space.sample_function(rng, -4, 4)
-            assert reconstruct(rate, -0.25, F) == pytest.approx(L(F), abs=1e-12)
+        for space in (FiniteSpace.default(5), TailDomain(np.linspace(0.0, 2.0, 5))):
+            rate = RateFunction([0.0, 1.0, np.inf, 0.5, np.inf], space)
+            L = sup_form(rate, L0=-0.25)
+            finite = rate.finite_mask()
+            for _ in range(25):
+                values = rng.uniform(-4, 4, len(space))
+                F = space.function(values, 3.0) if isinstance(space, TailDomain) else space.function(values)
+                value = reconstruct(rate, -0.25, F)
+                assert value == L(F)
+                # bit for bit L0 + max(F - rate) over the finite entries; a tail value never enters
+                assert value == -0.25 + float(np.max(values[finite] - rate.values[finite]))
 
     def test_all_infinite_rejected(self):
         rate = RateFunction([np.inf, np.inf], FiniteSpace.default(2))
         F = FiniteSpace.default(2).function([0.0, 0.0])
-        with pytest.raises(AllInfiniteRate):
+        with pytest.raises(AllInfiniteRate, match="sup_form needs at least one finite rate entry"):
             reconstruct(rate, 0.0, F)
 
     def test_space_mismatch(self):

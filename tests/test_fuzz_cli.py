@@ -1,18 +1,22 @@
-"""Fuzz the CLI input boundary: one mutation of a valid input file.
+"""Fuzz the CLI boundary: one mutation of a valid input file, or odd argv.
 
-Each example takes a valid descriptor, function, measure, rate, sequence
+The file fuzz takes a valid descriptor, function, measure, rate, sequence
 or grid-function file, changes one field (scalar and array swapped, a
 string or a bool in place of the value, an integer past the float range,
 an extra array level, or the key removed), and runs every command that
-reads the file through cli.run in-process.  Whatever the input, the exit
-code is 0, 1, 2 or 3, an exit 2 prints exactly one error record on
-stderr, and no exception escapes.
+reads the file through cli.run in-process.  The argv fuzz draws a
+subcommand and each of its flags from small value sets: nan, inf,
+negatives, 0, bad tokens, unknown choices, and a valid, missing or
+directory path for every input and for --output.  Whatever the input,
+the exit code is 0, 1, 2 or 3, an exit 2 prints exactly one error record
+on stderr, and no exception escapes.
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +154,81 @@ def test_one_mutation_gives_an_exit_code_or_one_error_line(tmp_path_factory, cas
             assert err.startswith("vflab: error kind="), (argv, doc, err)
         else:
             assert out and err == "", (argv, doc, err)
+
+
+NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e-3", "0.5", "2", "abc", "")
+SCHEDULES = ("default", "1,2,4", "16,64,256", "4096", "4,2,1", "0,1,2", "1,nan", "x", "")
+
+
+def _file(flag, kind):
+    """A flag given a valid file of this kind; drawn, it is left out or names a missing path or a directory."""
+    return (flag, f"{{{kind}}}"), [(), (flag, "{missing}"), (flag, "{dir}")]
+
+
+def _values(flag, valid, drawn):
+    """A flag given valid (left out when None); drawn, it is left out or takes one of drawn."""
+    return (() if valid is None else (flag, valid)), [(), *((flag, v) for v in drawn)]
+
+
+DEPTHS = _values("--schedule", None, ("default", "1,2,4,8", "nan", "-1,2", "2,1", "x"))
+EXACT = ((), [("--exact-gradient",), ("--no-exact-gradient",)])
+COMMANDS = {
+    "eval": [_file("--functional", "log_integral"), _file("--f", "function")],
+    "dual": [_file("--functional", "log_integral"), DEPTHS, _values("--cmax", None, NUMBERS)],
+    "reconstruct": [_file("--rate", "rate"), _file("--f", "function")],
+    "gap": [_file("--functional", "sup_form"), _file("--f", "function"), DEPTHS, _values("--cmax", None, NUMBERS)],
+    "conjugate": [
+        _file("--functional", "log_integral"),
+        _file("--measure", "measure"),
+        _values("--tol", None, NUMBERS),
+        EXACT,
+    ],
+    "recover": [_file("--measure", "measure"), _file("--f", "function"), _values("--tol", None, NUMBERS), EXACT],
+    "check": [
+        _file("--functional", "log_integral"),
+        _values("--property", "monotone", ("translation", "lipschitz", "sigma", "bogus", "")),
+        _values("--trials", "8", ("-1", "0", "1", "20", "abc", "nan")),
+        _values("--seed", None, ("-1", "0", "abc")),
+        _values("--tol", None, NUMBERS),
+    ],
+    "cramer": [_values("--p", "0.3", NUMBERS), _values("--schedule", None, SCHEDULES), _file("--f", "grid_function")],
+    "tightness": [
+        _values("--p", "0.3", NUMBERS),
+        _values("--measure", None, ("{sequence}", "{missing}", "{dir}")),
+        _values("--schedule", None, SCHEDULES),
+        _values("--level", "0.2", NUMBERS),
+    ],
+}
+FORMAT = _values("--format", None, ("json", "csv", "xml"))
+OUTPUT = _values("--output", None, ("{out}", "{missing}", "{dir}"))
+RECORD = re.compile(r'vflab: error kind=\w+ detail="((?:[^"\\]|\\.)*)"$')
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with valid flags, up to three of which are drawn instead."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = [*COMMANDS[command], FORMAT, OUTPUT]
+    drawn = draw(st.sets(st.integers(0, len(options) - 1), max_size=3))
+    argv = [command]
+    for i, (valid, alternatives) in enumerate(options):
+        argv.extend(draw(st.sampled_from(alternatives)) if i in drawn else valid)
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_odd_argv_gives_an_exit_code_or_one_error_line(tmp_path_factory, argv):
+    directory = tmp_path_factory.getbasetemp() / "fuzz_argv"
+    directory.mkdir(exist_ok=True)
+    paths = {name: _write(directory / f"{name}.json", valid) for name, valid in FILES.items()}
+    paths.update(missing=str(directory / "no" / "such.json"), dir=str(directory), out=str(directory / "out.txt"))
+    argv = [token.format(**paths) for token in argv]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert RECORD.match(err.rstrip("\n")), (argv, err)
+    if code == 0:
+        report = out if "--output" not in argv else (directory / "out.txt").read_text()
+        assert "nan" not in report, (argv, report)

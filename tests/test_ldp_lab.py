@@ -18,9 +18,11 @@ from vflab import (
     estimate_limit,
     ingest_sequence,
     kl_divergence,
+    ldp_term,
     ldp_value,
     tightness_scan,
 )
+from vflab.cli import CRAMER_DEFAULT_SCHEDULE
 from vflab.errors import (
     InvalidP,
     InvariantViolation,
@@ -226,6 +228,22 @@ class TestLdpValueAndLimit:
             assert ldp_value(entry, g) == pytest.approx(
                 ldp_value(entry, lambda x: x), abs=1e-14
             )
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_ldp_term_row_formula_bit_for_bit(self, test_functions, p):
+        seq = cramer_sequence(p, CRAMER_DEFAULT_SCHEDULE)
+        for entry in seq.entries:
+            L = ldp_term(entry.measure, entry.n, entry.space)
+            for F in test_functions.values():
+                assert ldp_value(entry, F) == L(entry.space.function(F(entry.space.coords)))
+            # a callable that returns a scalar is spread over the atoms
+            assert ldp_value(entry, lambda x: 0.3) == L(entry.space.function(np.full(entry.n + 1, 0.3)))
+
+    def test_overflowing_exponent_stays_finite(self):
+        # n F passes the float range from n = 256 on; the shifted form keeps the top value
+        F = GridFunction(1e306 * REFERENCE_GRID)
+        for entry in cramer_sequence(0.3, CRAMER_DEFAULT_SCHEDULE).entries:
+            assert ldp_value(entry, F) == 1e306
 
     def test_coordinate_free_space_rejected(self):
         entry = SequenceEntry(1, FiniteSpace.default(2), ProbabilityMeasure([0.5, 0.5]))
