@@ -1,8 +1,10 @@
 """The catalog of Varadhan functionals.
 
-A FunctionalHandle wraps an evaluator F -> L(F) together with capability
-claims (maximal, convex, sigma-continuous).  Claims are declarations, not
-certifications; the axioms module is the certifier.  Four built-ins:
+A FunctionalHandle wraps the row function of a functional F -> L(F) and
+one declaration, claims_convex, which the conjugate ascent and the
+const-preservation check read.  The axiom properties (monotone,
+translation compatible, maximal, sigma-continuous) are not declared: the
+axioms module certifies them.  Four built-ins:
 
   log_integral  L(F) = log int e^F dnu        convex, not maximal
   sup_form      L(F) = L0 + max(F - I)        maximal and convex
@@ -34,13 +36,13 @@ from .space import (
 
 
 class FunctionalHandle:
-    """An evaluator for one functional plus its declared properties.
+    """A functional given by its row function, plus its convexity claim.
 
-    The evaluator comes in one of two forms.  rows maps function rows
-    (see BoundedFunction.row; last axis space.row_width) to L of each row,
-    reducing over the last axis only; the built-ins give this form, so
-    evaluate and evaluate_many run the same code.  fn maps one function
-    object to L(F); evaluate_many then calls it row by row.
+    rows maps a function row (see BoundedFunction.row; its last axis is
+    space.row_width, and on a tail domain the row ends in the tail value)
+    or a (k, row_width) stack of rows to L of each row, reducing over the
+    last axis only.  evaluate and evaluate_many both run it; evaluate_many
+    refuses a result that is not one value per row.
 
     evaluate is deterministic: the same input vector gives bit-identical
     output, in evaluate and in any row of evaluate_many.  base_value
@@ -52,50 +54,20 @@ class FunctionalHandle:
     on another space with SpaceMismatch.
     """
 
-    __slots__ = (
-        "name",
-        "space",
-        "claims_maximal",
-        "claims_convex",
-        "claims_sigma_continuous",
-        "base_value",
-        "gradient",
-        "hessian",
-        "_fn",
-        "_rows",
-    )
+    __slots__ = ("name", "space", "claims_convex", "base_value", "gradient", "hessian", "_rows")
 
-    def __init__(
-        self,
-        name: str,
-        space,
-        fn: Callable | None = None,
-        *,
-        rows: Callable | None = None,
-        claims_maximal: bool,
-        claims_convex: bool,
-        claims_sigma_continuous: bool,
-        gradient: Callable | None = None,
-    ):
-        if (fn is None) == (rows is None):
-            raise ValidationError("a handle needs exactly one of fn and rows")
+    def __init__(self, name: str, space, *, rows: Callable, claims_convex: bool, gradient: Callable | None = None):
         self.name = name
         self.space = space
-        self._fn = fn
         self._rows = rows
-        self.claims_maximal = bool(claims_maximal)
         self.claims_convex = bool(claims_convex)
-        self.claims_sigma_continuous = bool(claims_sigma_continuous)
         self.gradient = gradient
         self.hessian = None
-        zero = space.zero_function()
-        self.base_value = float(fn(zero) if rows is None else rows(zero.row))
+        self.base_value = float(rows(space.zero_function().row))
 
     def evaluate(self, F) -> float:
         _require_same_space(F.space, self.space)
-        if self._rows is not None:
-            return float(self._rows(F.row))
-        return float(self._fn(F))
+        return float(self._rows(F.row))
 
     __call__ = evaluate
 
@@ -111,10 +83,12 @@ class FunctionalHandle:
             )
         if not np.isfinite(V).all():
             raise ValidationError("function values must all be finite")
-        if self._rows is not None:
-            return np.array(self._rows(V), dtype=float)
-        from_row = self.space.from_row
-        return np.array([float(self._fn(from_row(r))) for r in V], dtype=float)
+        out = np.array(self._rows(V), dtype=float)
+        if out.shape != (len(V),):
+            raise ValidationError(
+                f"{self.name}: rows must give one value per row, shape ({len(V)},); got shape {out.shape}"
+            )
+        return out
 
     def __repr__(self):
         return f"FunctionalHandle({self.name!r} on {self.space!r})"
@@ -230,14 +204,20 @@ def _shifted(V, log_weights, n: int):
         return top[..., 0], n * (W - top) + log_weights
 
 
+def _out_of_range(lse, n: int) -> bool:
+    """Whether the plain log-sum-exp of n V left the float range somewhere."""
+    return n > 1 and not np.isfinite(lse).all()
+
+
 def _log_rows(V, log_weights, n: int):
     """(1/n) log sum e^{nV} w over the last axis: the row formula of ldp_term.
 
-    Where n V overflows, V is taken relative to its top supported value;
-    elsewhere the plain form runs.  A 1-d V gives a scalar.
+    Where n V overflows or underflows, V is taken relative to its top
+    supported value; elsewhere the plain form runs.  A 1-d V gives a
+    scalar.
     """
     out = _lse(_exponents(V, log_weights, n)) / n
-    if n > 1 and not np.isfinite(out).all():
+    if _out_of_range(out, n):
         top, z = _shifted(V, log_weights, n)
         out = np.where(np.isfinite(out), out, top + _lse(z) / n)
     return out
@@ -246,26 +226,21 @@ def _log_rows(V, log_weights, n: int):
 def _log_family(nu, n: int, name: str, space) -> FunctionalHandle:
     """L(F) = (1/n) log int e^{nF} dnu, by _log_rows, with its exact gradient.
 
-    The gradient is the tilted measure p, proportional to e^{nF} nu.  Zero
-    weights drop out as -inf log weights.
+    The gradient is the tilted measure p, proportional to e^{nF} nu; it
+    takes the shifted form exactly where _log_rows does.  Zero weights drop
+    out as -inf log weights.
     """
     log_weights, space = _coerce_measure(nu, space)
 
     def grad(values: np.ndarray) -> np.ndarray:
         z = _exponents(values, log_weights, n)
-        if n > 1 and not (z < np.inf).all():
+        lse = _lse(z)
+        if _out_of_range(lse, n):
             z = _shifted(values, log_weights, n)[1]
-        return np.exp(z - _lse(z))
+            lse = _lse(z)
+        return np.exp(z - lse)
 
-    return FunctionalHandle(
-        name,
-        space,
-        rows=lambda V: _log_rows(V, log_weights, n),
-        claims_maximal=False,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-        gradient=grad,
-    )
+    return FunctionalHandle(name, space, rows=lambda V: _log_rows(V, log_weights, n), claims_convex=True, gradient=grad)
 
 
 def log_integral(nu, space: FiniteSpace | None = None) -> FunctionalHandle:
@@ -293,14 +268,7 @@ def sup_form(I: RateFunction, L0: float = 0.0) -> FunctionalHandle:
     def rows(V):
         return L0 + (V[..., idx] - rates).max(-1)
 
-    return FunctionalHandle(
-        "sup_form",
-        I.space,
-        rows=rows,
-        claims_maximal=True,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-    )
+    return FunctionalHandle("sup_form", I.space, rows=rows, claims_convex=True)
 
 
 def ldp_term(mu, n: int, space: FiniteSpace | None = None) -> FunctionalHandle:
@@ -330,14 +298,7 @@ def tail_limsup(domain: TailDomain | None = None) -> FunctionalHandle:
     def rows(V):
         return V[..., -1]
 
-    return FunctionalHandle(
-        "tail_limsup",
-        domain,
-        rows=rows,
-        claims_maximal=True,
-        claims_convex=True,
-        claims_sigma_continuous=False,
-    )
+    return FunctionalHandle("tail_limsup", domain, rows=rows, claims_convex=True)
 
 
 __all__ = [

@@ -22,7 +22,7 @@ import numpy as np
 from .duality import sublevel_set
 from .errors import InvalidP, InvariantViolation, ScheduleTooShort, ValidationError
 from .functionals import _log_rows
-from .space import FiniteSpace, ProbabilityMeasure, RateFunction
+from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _finite
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
 FIT_FRACTION = 0.5
@@ -232,9 +232,9 @@ def empirical_rate(entry: SequenceEntry) -> RateFunction:
 
 
 def empirical_rate_at(entry: SequenceEntry, x: float) -> float:
-    """Empirical rate at the grid atom nearest to x (ties toward the lower atom)."""
+    """Empirical rate at the grid atom nearest to a finite x (ties toward the lower atom)."""
     coords = entry.space.coords
-    i = int(np.argmin(np.abs(coords - float(x))))
+    i = int(np.argmin(np.abs(coords - _finite(x, "x"))))
     return float(empirical_rate(entry).values[i])
 
 

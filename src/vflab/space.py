@@ -408,7 +408,8 @@ class ProbabilityMeasure:
 
     log_weights defaults to elementwise log (with log 0 = -inf) but callers
     that know better, like the exact binomial builder, may pass sharper
-    values; rate extraction at large n reads them directly.
+    values, each finite or -inf; rate extraction at large n reads them
+    directly.
     """
 
     __slots__ = ("weights", "log_weights", "normalization")
@@ -427,10 +428,13 @@ class ProbabilityMeasure:
         self.weights = _freeze(arr)
         if log_weights is None:
             with np.errstate(divide="ignore"):
-                log_weights = np.log(arr)
-        lw = np.array(log_weights, dtype=float)
-        if len(lw) != len(arr):
-            raise ValidationError("log_weights length mismatch")
+                lw = np.log(arr)
+        else:
+            lw = np.array(log_weights, dtype=float)
+            if len(lw) != len(arr):
+                raise ValidationError("log_weights length mismatch")
+            if not (lw < np.inf).all():  # nan fails too; -inf is a zero weight
+                raise ValidationError("log_weights must be finite or -inf")
         self.log_weights = _freeze(lw)
         self.normalization = float(normalization)
 

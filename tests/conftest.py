@@ -59,59 +59,30 @@ def builtin_handle(request):
 def broken_monotone_handle(space=None) -> FunctionalHandle:
     """L(F) = -F at the first point: raising F there lowers L."""
     space = space or FiniteSpace.default(3)
-    return FunctionalHandle(
-        "negated_point_mass",
-        space,
-        lambda F: -float(F.values[0]),
-        claims_maximal=False,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-    )
+    return FunctionalHandle("negated_point_mass", space, rows=lambda V: -V[..., 0], claims_convex=True)
 
 
 def broken_translation_handle(space=None) -> FunctionalHandle:
     """L(F) = sum e^F: shifts multiply instead of adding."""
     space = space or FiniteSpace.default(3)
-    return FunctionalHandle(
-        "plain_exp_sum",
-        space,
-        lambda F: float(np.sum(np.exp(F.values))),
-        claims_maximal=False,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-    )
+    return FunctionalHandle("plain_exp_sum", space, rows=lambda V: np.exp(V).sum(-1), claims_convex=True)
 
 
 def broken_lipschitz_handle(space=None) -> FunctionalHandle:
     """L(F) = 2 max F: twice the allowed modulus."""
     space = space or FiniteSpace.default(3)
-    return FunctionalHandle(
-        "doubled_max",
-        space,
-        lambda F: 2.0 * float(np.max(F.values)),
-        claims_maximal=True,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-    )
+    return FunctionalHandle("doubled_max", space, rows=lambda V: 2.0 * V.max(-1), claims_convex=True)
 
 
 def broken_implication_handle(space=None) -> FunctionalHandle:
     """Preserves constants but drifts under shifts; trips the implication check."""
     space = space or FiniteSpace.default(3)
 
-    def fn(F):
-        v = F.values
-        m = float(np.mean(v))
-        return m + 0.1 * (float(np.max(v)) ** 2 - m**2)
+    def rows(V):
+        m = V.mean(-1)
+        return m + 0.1 * (V.max(-1) ** 2 - m**2)
 
-    return FunctionalHandle(
-        "level_skewed_mean",
-        space,
-        fn,
-        claims_maximal=False,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-    )
+    return FunctionalHandle("level_skewed_mean", space, rows=rows, claims_convex=True)
 
 
 # -- the five frozen continuum test functions for the Cramer experiments --

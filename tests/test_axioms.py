@@ -224,14 +224,7 @@ class TestConstPreservingPrecondition:
         from vflab.functionals import FunctionalHandle
 
         space = FiniteSpace.default(2)
-        L = FunctionalHandle(
-            "median_like",
-            space,
-            lambda F: float(np.min(F.values)),
-            claims_maximal=False,
-            claims_convex=False,
-            claims_sigma_continuous=True,
-        )
+        L = FunctionalHandle("median_like", space, rows=lambda V: V.min(-1), claims_convex=False)
         with pytest.raises(PreconditionFailed, match="convexity"):
             check_const_preserving_implies_translation(L)
 

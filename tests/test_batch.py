@@ -115,7 +115,7 @@ def test_evaluate_many_matches_evaluate_bit_for_bit(m):
         assert got.tobytes() == np.array(want).tobytes(), L.name
 
 
-def test_evaluate_many_row_loop_for_per_function_handles():
+def test_evaluate_many_matches_evaluate_on_user_row_handles():
     L = broken_translation_handle()
     V = np.random.default_rng(1).uniform(-5.0, 5.0, (7, 3))
     assert L.evaluate_many(V).tolist() == [L.evaluate(L.space.function(v)) for v in V]
@@ -133,13 +133,27 @@ def test_evaluate_many_refuses_bad_rows():
         L.evaluate_many(bad)
 
 
-def test_handle_needs_exactly_one_evaluator():
+def test_handle_needs_rows():
     space = FiniteSpace.default(2)
-    for kwargs in ({}, {"fn": lambda F: 0.0, "rows": lambda V: V[..., 0]}):
-        with pytest.raises(ValidationError):
-            FunctionalHandle(
-                "none", space, claims_maximal=False, claims_convex=True, claims_sigma_continuous=True, **kwargs
-            )
+    with pytest.raises(TypeError):
+        FunctionalHandle("none", space, claims_convex=True)
+    with pytest.raises(TypeError):  # the row function is keyword-only
+        FunctionalHandle("positional", space, lambda V: V[..., 0], claims_convex=True)
+
+
+def test_evaluate_many_refuses_rows_that_are_not_one_value_per_row():
+    # V.max() reduces a whole stack to one scalar, which matches no row
+    L = FunctionalHandle("whole_max", FiniteSpace.default(3), rows=lambda V: V.max(), claims_convex=True)
+    assert L.evaluate(L.space.function([1.0, 2.0, 0.5])) == 2.0
+    with pytest.raises(ValidationError, match=r"one value per row, shape \(4,\); got shape \(\)"):
+        L.evaluate_many(np.zeros((4, 3)))
+    with pytest.raises(ValidationError, match="one value per row"):
+        CHECKS["monotone"](L, trials=10)
+    with pytest.raises(ValidationError, match="one value per row"):
+        dual_rate(L)
+    wrong_axis = FunctionalHandle("wrong_axis", L.space, rows=lambda V: V.max(0), claims_convex=True)
+    with pytest.raises(ValidationError, match=r"got shape \(3,\)"):
+        wrong_axis.evaluate_many(np.zeros((4, 3)))
 
 
 # -- the checks against a per-trial reference loop --
@@ -207,26 +221,18 @@ def _reference_report(check: str, L, trials: int, seed: int) -> CheckReport:
 
 def _step_handle():
     """-1{F(x0) > 0} on a 600-point line: raw values tie exactly across blocks."""
-    return FunctionalHandle(
-        "step",
-        FiniteSpace.from_line(np.arange(600.0)),
-        lambda F: -float(F.values[0] > 0.0),
-        claims_maximal=False,
-        claims_convex=True,
-        claims_sigma_continuous=True,
-    )
+    space = FiniteSpace.from_line(np.arange(600.0))
+    return FunctionalHandle("step", space, rows=lambda V: -(V[..., 0] > 0.0).astype(float), claims_convex=True)
 
 
 def _nan_handle():
     """The level-skewed mean, but nan where F(x0) > 3: nan raw values never count."""
     skewed = broken_implication_handle()
 
-    def fn(F):
-        return math.nan if F.values[0] > 3.0 else skewed.evaluate(F)
+    def rows(V):
+        return np.where(V[..., 0] > 3.0, math.nan, skewed._rows(V))
 
-    return FunctionalHandle(
-        "sometimes_nan", skewed.space, fn, claims_maximal=False, claims_convex=True, claims_sigma_continuous=True
-    )
+    return FunctionalHandle("sometimes_nan", skewed.space, rows=rows, claims_convex=True)
 
 
 _HANDLES = {

@@ -7,14 +7,17 @@ import pytest
 
 from vflab import (
     ProbabilityMeasure,
+    RateFunction,
     TailDomain,
     conjugate_J,
     dirac_functional,
     exponential_tilt,
     kl_divergence,
     kl_functional,
+    ldp_term,
     log_integral,
     recover_L_from_J,
+    sup_form,
     tail_limsup,
 )
 from vflab import convex_duality
@@ -129,14 +132,7 @@ class TestConjugate:
     def test_nonconvex_claim_warns(self, monkeypatch):
         monkeypatch.setattr(convex_duality, "MAX_ITERS", 5)
         space = FiniteSpace.default(2)
-        handle = FunctionalHandle(
-            "just_max",
-            space,
-            lambda F: float(np.max(F.values)),
-            claims_maximal=True,
-            claims_convex=False,
-            claims_sigma_continuous=True,
-        )
+        handle = FunctionalHandle("just_max", space, rows=lambda V: V.max(-1), claims_convex=False)
         with pytest.warns(UserWarning, match="convex"):
             conjugate_J(handle, ProbabilityMeasure([0.5, 0.5]))
 
@@ -168,13 +164,7 @@ class TestConjugate:
         nu, mu = criterion_4_pair(87)
         L = log_integral(nu)
         gradient_only = FunctionalHandle(
-            "log_integral_gradient_only",
-            L.space,
-            L.evaluate,
-            claims_maximal=False,
-            claims_convex=True,
-            claims_sigma_continuous=True,
-            gradient=L.gradient,
+            "log_integral_gradient_only", L.space, rows=L._rows, claims_convex=True, gradient=L.gradient
         )
         report = conjugate_J(gradient_only, mu)
         assert report.converged
@@ -229,6 +219,85 @@ class TestConjugate:
         assert elapsed < 1.0
 
 
+def reference_fd_gradient(L, values):
+    """Central differences one coordinate at a time through evaluate: the reference for the blocked probes."""
+    g = np.empty(len(values))
+    for i in range(len(values)):
+        up = values.copy()
+        up[i] += convex_duality.FD_STEP
+        dn = values.copy()
+        dn[i] -= convex_duality.FD_STEP
+        g[i] = (L.evaluate(L.space.function(up)) - L.evaluate(L.space.function(dn))) / (2 * convex_duality.FD_STEP)
+    return g
+
+
+def fd_reports_match_reference(monkeypatch, L, mu):
+    """The FD conjugate's report, and whether the reference loop gives it bit for bit."""
+    got = conjugate_J(L, mu, exact_gradient=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(convex_duality, "_fd_gradient", reference_fd_gradient)
+        want = conjugate_J(L, mu, exact_gradient=False)
+    same = (got.value, got.iterations, got.stop_reason) == (want.value, want.iterations, want.stop_reason)
+    return got, same and got.maximizer.values.tobytes() == want.maximizer.values.tobytes()
+
+
+class TestBlockedFiniteDifferences:
+    @pytest.mark.parametrize("m", [3, 16, 64])
+    def test_reports_match_the_per_coordinate_loop(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        nu = ProbabilityMeasure(rng.dirichlet(np.ones(m)))
+        mu = ProbabilityMeasure(rng.dirichlet(np.ones(m)))
+        space = FiniteSpace.default(m)
+        rate = rng.uniform(0.0, 3.0, m)
+        rate[0], rate[-1] = 0.0, math.inf
+        w = nu.weights
+
+        def user_rows(V):
+            return np.log((np.exp(V) * w).sum(-1))
+
+        handles = [
+            log_integral(nu, space),
+            ldp_term(nu, 4, space),
+            sup_form(RateFunction(rate, space)),
+            FunctionalHandle("user_log_integral", space, rows=user_rows, claims_convex=True),
+        ]
+        for L in handles:
+            report, same = fd_reports_match_reference(monkeypatch, L, mu)
+            assert same, L.name
+            assert report.iterations > 0, L.name
+
+    def test_reports_match_the_per_coordinate_loop_on_benchmark_inputs(self, monkeypatch):
+        # the finite-difference conjugates of the benchmark's entropy_duality
+        # workload: floored Dirichlet draws from seed 9009
+        rng = np.random.default_rng(9009)
+
+        def weights(m):
+            w = np.maximum(rng.dirichlet(np.ones(m)), 1e-4)
+            return ProbabilityMeasure(w / w.sum())
+
+        for m in (2, 3, 4):
+            nu, mu = weights(m), weights(m)
+            rng.uniform(-3.0, 3.0, m)  # the test function, unused here
+            report, same = fd_reports_match_reference(monkeypatch, log_integral(nu), mu)
+            assert same and report.converged, m
+
+    def test_large_space_stacks_probes_in_blocks(self):
+        # one (2m, m) stack of every probe would hold 16 MB at m = 1024
+        rng = np.random.default_rng(1024)
+        nu = ProbabilityMeasure(rng.dirichlet(np.ones(1024)))
+        mu = ProbabilityMeasure(rng.dirichlet(np.ones(1024)))
+        L = log_integral(nu)
+        tracemalloc.start()
+        try:
+            report = conjugate_J(L, mu, exact_gradient=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert abs(report.value - kl_divergence(mu, nu)) <= 1e-8
+        assert peak < 4 * 2**20
+
+
 class TestStopReason:
     PAIR = (ProbabilityMeasure([0.5, 0.5]), ProbabilityMeasure([0.75, 0.25]))
 
@@ -271,10 +340,8 @@ class TestStopReason:
         downhill = FunctionalHandle(
             "log_integral_downhill",
             L.space,
-            L.evaluate,
-            claims_maximal=False,
+            rows=L._rows,
             claims_convex=True,
-            claims_sigma_continuous=True,
             gradient=lambda values: 2.0 * mu.weights - L.gradient(values),
         )
         report = conjugate_J(downhill, mu)

@@ -183,6 +183,12 @@ class TestFiniteNRateEnvelope:
         # 0.25 sits exactly between the atoms 0 and 0.5
         assert empirical_rate_at(entry, 0.25) == pytest.approx(math.log(4) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_refused(self, x):
+        entry = cramer_sequence(0.5, [4]).entries[0]
+        with pytest.raises(ValidationError, match="x must be finite"):
+            empirical_rate_at(entry, x)
+
 
 class TestGridFunction:
     def test_default_nodes_are_the_reference_grid(self):

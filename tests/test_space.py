@@ -254,6 +254,14 @@ class TestProbabilityMeasure:
         mu = ProbabilityMeasure([0.25, 0.75], log_weights=lw)
         assert mu.log_weights.tolist() == lw.tolist()
 
+    def test_nan_and_inf_log_weights_refused(self):
+        # log_integral of such a measure would have a nan or inf base value
+        for lw in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValidationError, match="finite or -inf"):
+                ProbabilityMeasure([0.5, 0.5], log_weights=lw)
+        mu = ProbabilityMeasure([1.0, 0.0], log_weights=[0.0, -np.inf])
+        assert mu.log_weights.tolist() == [0.0, -np.inf]
+
     def test_make_measure_records_normalization(self):
         mu = make_measure([2.0, 6.0])
         assert mu.weights.tolist() == [0.25, 0.75]
