@@ -35,14 +35,23 @@ from .space import (
 )
 
 
+def _one_value_per_row(name: str, out, shape: tuple) -> np.ndarray:
+    """A row function's result as floats, refused unless it has the given shape."""
+    out = np.array(out, dtype=float)
+    if out.shape != shape:
+        raise ValidationError(f"{name}: rows must give one value per row, shape {shape}; got shape {out.shape}")
+    return out
+
+
 class FunctionalHandle:
     """A functional given by its row function, plus its convexity claim.
 
     rows maps a function row (see BoundedFunction.row; its last axis is
     space.row_width, and on a tail domain the row ends in the tail value)
     or a (k, row_width) stack of rows to L of each row, reducing over the
-    last axis only.  evaluate and evaluate_many both run it; evaluate_many
-    refuses a result that is not one value per row.
+    last axis only.  evaluate and evaluate_many both run it; construction
+    (on the zero row) and evaluate_many refuse a result that is not one
+    value per row.
 
     evaluate is deterministic: the same input vector gives bit-identical
     output, in evaluate and in any row of evaluate_many.  base_value
@@ -63,7 +72,7 @@ class FunctionalHandle:
         self.claims_convex = bool(claims_convex)
         self.gradient = gradient
         self.hessian = None
-        self.base_value = float(rows(space.zero_function().row))
+        self.base_value = float(_one_value_per_row(name, rows(space.zero_function().row), ()))
 
     def evaluate(self, F) -> float:
         _require_same_space(F.space, self.space)
@@ -83,12 +92,7 @@ class FunctionalHandle:
             )
         if not np.isfinite(V).all():
             raise ValidationError("function values must all be finite")
-        out = np.array(self._rows(V), dtype=float)
-        if out.shape != (len(V),):
-            raise ValidationError(
-                f"{self.name}: rows must give one value per row, shape ({len(V)},); got shape {out.shape}"
-            )
-        return out
+        return _one_value_per_row(self.name, self._rows(V), (len(V),))
 
     def __repr__(self):
         return f"FunctionalHandle({self.name!r} on {self.space!r})"

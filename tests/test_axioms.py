@@ -245,6 +245,14 @@ def test_trials_must_be_positive():
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("trials", [True, 2.5, math.nan, "3"])
+def test_non_integer_trials_refused(check, trials):
+    L = log_integral(ProbabilityMeasure([0.5, 0.5]))
+    with pytest.raises(ValidationError, match="trials must be an integer, got "):
+        CHECKS[check](L, trials=trials)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("bad", [{"seed": -5}, {"seed": 1.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0}])
 def test_bad_seed_or_tolerance_refused_before_any_draw(check, bad):
     L = log_integral(ProbabilityMeasure([0.5, 0.5]))

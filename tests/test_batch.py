@@ -47,14 +47,18 @@ from vflab.axioms import (
     PERTURB_HIGH,
     PERTURB_LOW,
     _INTERPOLATION_THETAS,
+    _trial_uniforms,
 )
 from vflab.errors import PreconditionFailed, ValidationError
 from vflab.serialize import encode_function as _encode_function
 from vflab.space import _lse
 
-# past one block of tail rows (127 rows of width 514), so block joins are covered
+# past two blocks of tail trials (63 trials of 2 x 514 draws), so block joins are covered
 TRIALS = 150
 SEEDS = (0, 42, 12345)
+# trial seeds past 2**64 and 2**128: the block's seed words carry and the
+# seeds have more words than SeedSequence's pool
+HUGE_SEEDS = (2**64 - 50, 10**40)
 
 
 # -- _lse over the last axis --
@@ -156,6 +160,26 @@ def test_evaluate_many_refuses_rows_that_are_not_one_value_per_row():
         wrong_axis.evaluate_many(np.zeros((4, 3)))
 
 
+def test_construction_refuses_rows_that_keep_the_reduced_axis():
+    # the zero row is one row, so its value must be a scalar
+    space = FiniteSpace.default(3)
+    with pytest.raises(ValidationError, match=r"one value per row, shape \(\); got shape \(1,\)"):
+        FunctionalHandle("keepdims", space, rows=lambda V: V.max(-1, keepdims=True), claims_convex=True)
+
+
+# -- the trial streams against per-trial generators --
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 3, 2**64 - 3, 2**128 - 3, 2**160 - 3, 10**40])
+@pytest.mark.parametrize("count", [1, 17, 1028])
+def test_trial_uniforms_match_default_rng(seed, count):
+    # trials 1..6: the blocks of seeds 2**k - 3 straddle 2**k
+    got = _trial_uniforms(seed, 1, 7, count)
+    want = np.array([np.random.default_rng(seed + t).random(count) for t in range(1, 7)])
+    assert got.shape == (6, count)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # -- the checks against a per-trial reference loop --
 
 
@@ -253,7 +277,7 @@ _HANDLES = {
 @pytest.mark.parametrize("check", sorted(CHECKS))
 def test_check_reports_match_per_trial_loop(handle, check):
     L = _HANDLES[handle]
-    for seed in SEEDS:
+    for seed in SEEDS + (HUGE_SEEDS if check in ("lipschitz", "maximal") else ()):
         try:
             want = _reference_report(check, L, TRIALS, seed)
         except PreconditionFailed as exc:

@@ -6,8 +6,9 @@ string or a bool in place of the value, an integer past the float range,
 an extra array level, or the key removed), and runs every command that
 reads the file through cli.run in-process.  The argv fuzz draws a
 subcommand and each of its flags from small value sets: nan, inf,
-negatives, 0, bad tokens, unknown choices, and a valid, missing or
-directory path for every input and for --output.  Whatever the input,
+negatives, 0, bad tokens, unknown choices, check seeds past 2**32, 2**64
+and 2**128, and a valid, missing or directory path for every input and
+for --output.  Whatever the input,
 the exit code is 0, 1, 2 or 3, an exit 2 prints exactly one error record
 on stderr, and no exception escapes.
 """
@@ -18,6 +19,7 @@ import io
 import json
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +159,8 @@ def test_one_mutation_gives_an_exit_code_or_one_error_line(tmp_path_factory, cas
 
 
 NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e-3", "0.5", "2", "abc", "")
+# trial seeds that carry past 2**32 and 2**64, and one with more words than SeedSequence's pool
+HUGE_SEEDS = ("4294967295", "18446744073709551000", "1234567890123456789012345678901234567890")
 SCHEDULES = ("default", "1,2,4", "16,64,256", "4096", "4,2,1", "0,1,2", "1,nan", "x", "")
 
 
@@ -188,7 +192,7 @@ COMMANDS = {
         _file("--functional", "log_integral"),
         _values("--property", "monotone", ("translation", "lipschitz", "sigma", "bogus", "")),
         _values("--trials", "8", ("-1", "0", "1", "20", "abc", "nan")),
-        _values("--seed", None, ("-1", "0", "abc")),
+        _values("--seed", None, ("-1", "0", "abc", *HUGE_SEEDS)),
         _values("--tol", None, NUMBERS),
     ],
     "cramer": [_values("--p", "0.3", NUMBERS), _values("--schedule", None, SCHEDULES), _file("--f", "grid_function")],
@@ -232,3 +236,12 @@ def test_odd_argv_gives_an_exit_code_or_one_error_line(tmp_path_factory, argv):
     if code == 0:
         report = out if "--output" not in argv else (directory / "out.txt").read_text()
         assert "nan" not in report, (argv, report)
+
+
+@pytest.mark.parametrize("seed", HUGE_SEEDS)
+@pytest.mark.parametrize("prop", ["monotone", "maximal"])
+def test_huge_seed_gives_a_report(tmp_path, seed, prop):
+    path = _write(tmp_path / "L.json", FILES["log_integral"])
+    code, out, err = _run(["check", "--functional", path, "--property", prop, "--trials", "20", "--seed", seed])
+    assert code in (0, 1) and err == "", (code, err)
+    assert json.loads(out)["seed"] == int(seed)
