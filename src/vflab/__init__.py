@@ -75,8 +75,6 @@ from .space import (
     ProbabilityMeasure,
     RateFunction,
     make_measure,
-    pointwise_max,
-    sup_distance,
     validate_decreasing,
 )
 
@@ -91,8 +89,6 @@ __all__ = [
     "RateFunction",
     "DecreasingSequence",
     "make_measure",
-    "pointwise_max",
-    "sup_distance",
     "validate_decreasing",
     # functionals
     "FunctionalHandle",

@@ -74,19 +74,14 @@ def _emit(args, doc: dict, table=None) -> None:
 
 
 def _parse_depth_schedule(args) -> PitSchedule:
-    text = getattr(args, "schedule", None) or "default"
+    text = args.schedule or "default"
     if text == "default":
-        sched = PitSchedule()
-    else:
-        try:
-            depths = tuple(float(tok) for tok in text.split(","))
-        except ValueError:
-            raise _UsageError(f"bad --schedule {text!r}: expected 'default' or comma-separated depths") from None
-        sched = PitSchedule(depths)
-    cmax = getattr(args, "cmax", None)
-    if cmax is not None:
-        sched = sched.capped(cmax)
-    return sched
+        return PitSchedule()
+    try:
+        depths = tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise _UsageError(f"bad --schedule {text!r}: expected 'default' or comma-separated depths") from None
+    return PitSchedule(depths)
 
 
 def _parse_n_schedule(text: str | None) -> tuple[int, ...]:
@@ -147,7 +142,7 @@ def _cmd_gap(args) -> int:
 def _cmd_conjugate(args) -> int:
     L = serialize.load_functional(args.functional)
     mu = serialize.decode_measure(serialize.read_json(args.measure))
-    report = conjugate_J(L, mu, tol=args.tol, exact_gradient=args.exact_gradient)
+    report = conjugate_J(L, mu, tol=args.tol)
     log.info("conjugate value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
     _emit(args, serialize.encode_conjugate_report(report))
     return 0 if report.converged else 3
@@ -157,7 +152,7 @@ def _cmd_recover(args) -> int:
     nu = serialize.decode_measure(serialize.read_json(args.measure))
     space = FiniteSpace.default(len(nu.weights))
     F = _load_function_on(args.f, space)
-    report = recover_L_from_J(kl_functional(nu), 0.0, F, tol=args.tol, exact_gradient=args.exact_gradient)
+    report = recover_L_from_J(kl_functional(nu), 0.0, F, tol=args.tol)
     log.info("recover value %r after %d iterations (%s)", report.value, report.iterations, report.stop_reason)
     _emit(args, serialize.encode_conjugate_report(report))
     return 0 if report.converged else 3
@@ -215,7 +210,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dual", help="pit-method dual: the rate function of a functional")
     p.add_argument("--functional", required=True)
     p.add_argument("--schedule", default="default", help="'default' or comma-separated pit depths")
-    p.add_argument("--cmax", type=float, help="cap pit depths at 2^cmax")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_dual)
 
@@ -229,7 +223,6 @@ def build_parser() -> _Parser:
     p.add_argument("--functional", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--schedule", default="default")
-    p.add_argument("--cmax", type=float)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_gap)
 
@@ -237,7 +230,6 @@ def build_parser() -> _Parser:
     p.add_argument("--functional", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--tol", type=float, default=ASCENT_TOL, help="gradient tolerance override")
-    p.add_argument("--exact-gradient", action=argparse.BooleanOptionalAction, default=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_conjugate)
 
@@ -245,7 +237,6 @@ def build_parser() -> _Parser:
     p.add_argument("--measure", required=True, help="the reference measure nu")
     p.add_argument("--f", required=True)
     p.add_argument("--tol", type=float, default=ASCENT_TOL, help="KKT tolerance override")
-    p.add_argument("--exact-gradient", action=argparse.BooleanOptionalAction, default=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_recover)
 
@@ -291,8 +282,10 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _require_input_files(args)
         return args.handler(args)
-    except (_UsageError, VflabError) as exc:
+    except (_UsageError, VflabError, MemoryError) as exc:
         kind = "usage" if isinstance(exc, _UsageError) else type(exc).__name__
+        if isinstance(exc, MemoryError):  # numpy raises its private subclass, _ArrayMemoryError
+            kind = "MemoryError"
         # escaped so that detail="..." stays one quoted field whatever the message quotes
         detail = str(exc).replace("\n", " ").replace("\\", "\\\\").replace('"', '\\"')
         print(f'vflab: error kind={kind} detail="{detail}"', file=sys.stderr)

@@ -50,16 +50,6 @@ class PitSchedule:
             raise ValidationError("depths must be strictly increasing")
         object.__setattr__(self, "depths", depths)
 
-    def capped(self, cmax: float) -> "PitSchedule":
-        """Restrict to depths <= 2**cmax."""
-        cmax = float(cmax)
-        # every finite depth is below 2**1024, a power too large to form
-        cap = math.inf if cmax >= 1024 else 2.0**cmax
-        kept = tuple(d for d in self.depths if d <= cap)
-        if not kept:
-            raise ValidationError("depth cap removes the whole schedule")
-        return PitSchedule(kept)
-
 
 @dataclass(frozen=True)
 class PointConvergence:

@@ -15,6 +15,7 @@ to n = 2^16, where pure log-gamma exponentiation does not.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +89,15 @@ class GridFunction:
         self.xs = xs
         self.ys = ys
 
-    @classmethod
-    def from_callable(cls, fn, xs=None) -> "GridFunction":
-        xs = REFERENCE_GRID if xs is None else np.array(xs, dtype=float)
-        return cls(np.array([fn(x) for x in xs], dtype=float), xs)
-
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys)
+
+
+def _valid_p(p) -> float:
+    """float(p) for a real p strictly between 0 and 1 (bool refused); InvalidP otherwise."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
+        raise InvalidP(f"p must lie strictly between 0 and 1, got {p!r}")
+    return float(p)
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -109,8 +112,7 @@ def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     1.0 at the mode, run the pmf ratio outward through both tails as
     cumulative products and are divided by their exactly rounded sum.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidP(f"p must lie strictly between 0 and 1, got {p}")
+    p = _valid_p(p)
     n = int(n)
     if n < 1:
         raise ValidationError("n must be a positive integer")
@@ -147,8 +149,7 @@ def cramer_grid_space(n: int) -> FiniteSpace:
 
 def cramer_sequence(p: float, schedule) -> MeasureSequence:
     """Binomial(n, p)/n on the grid {k/n} for each n in the schedule."""
-    if not isinstance(p, (int, float)) or not 0.0 < float(p) < 1.0:
-        raise InvalidP(f"p must lie strictly between 0 and 1, got {p!r}")
+    p = _valid_p(p)
     ns = [int(n) for n in schedule]
     if not ns:
         raise ValidationError("schedule is empty")
@@ -159,7 +160,7 @@ def cramer_sequence(p: float, schedule) -> MeasureSequence:
     lf = _log_factorials(ns[-1])  # one table, sliced for every n
     entries = []
     for n in ns:
-        w, log_w = _binomial_weights(n, float(p), lf)
+        w, log_w = _binomial_weights(n, p, lf)
         entries.append(
             SequenceEntry(
                 n=n,
@@ -167,7 +168,7 @@ def cramer_sequence(p: float, schedule) -> MeasureSequence:
                 measure=ProbabilityMeasure(w, log_weights=log_w),
             )
         )
-    return MeasureSequence(description=f"bernoulli(p={float(p)!r}) empirical means", entries=tuple(entries))
+    return MeasureSequence(description=f"bernoulli(p={p!r}) empirical means", entries=tuple(entries))
 
 
 def cramer_rate(p: float):
@@ -175,8 +176,7 @@ def cramer_rate(p: float):
 
     Finite at the endpoints: I(0) = -log(1-p), I(1) = -log(p).
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidP(f"p must lie strictly between 0 and 1, got {p}")
+    p = _valid_p(p)
 
     def rate(x):
         x = np.asarray(x, dtype=float)
@@ -188,12 +188,17 @@ def cramer_rate(p: float):
     return rate
 
 
-def ldp_value(entry: SequenceEntry, F) -> float:
-    """(1/n) log int e^{nF} dmu_n: ldp_term's row formula on F at the atoms."""
+def _atoms(entry: SequenceEntry) -> np.ndarray:
+    """The entry's grid coordinates; a space without them has no place on [0, 1]."""
     coords = entry.space.coords
     if coords is None:
         raise ValidationError("continuum functions need a line space with coordinates")
-    f_at_atoms = np.asarray(F(coords), dtype=float)
+    return coords
+
+
+def ldp_value(entry: SequenceEntry, F) -> float:
+    """(1/n) log int e^{nF} dmu_n: ldp_term's row formula on F at the atoms."""
+    f_at_atoms = np.asarray(F(_atoms(entry)), dtype=float)
     return float(_log_rows(f_at_atoms, entry.measure.log_weights, entry.n))
 
 
@@ -233,8 +238,7 @@ def empirical_rate(entry: SequenceEntry) -> RateFunction:
 
 def empirical_rate_at(entry: SequenceEntry, x: float) -> float:
     """Empirical rate at the grid atom nearest to a finite x (ties toward the lower atom)."""
-    coords = entry.space.coords
-    i = int(np.argmin(np.abs(coords - _finite(x, "x"))))
+    i = int(np.argmin(np.abs(_atoms(entry) - _finite(x, "x"))))
     return float(empirical_rate(entry).values[i])
 
 

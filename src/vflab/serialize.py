@@ -63,12 +63,7 @@ def _num(x, where: str) -> float:
         except OverflowError:  # an integer past the float range
             raise ParseError(f"{where}: number too large for a float", field=where) from None
     if isinstance(x, str):
-        s = x.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if s in ("-inf", "-infinity"):
-            return -math.inf
-        try:
+        try:  # float reads "inf", " +Infinity " and "-infinity" as well
             return float(x)
         except ValueError:
             pass

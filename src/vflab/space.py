@@ -68,7 +68,7 @@ def _lse_rows(z: np.ndarray, m, one: bool):
     return float(out) if one else out
 
 
-# rows of one stacked array are capped so that it holds about this many
+# rows of one stacked array are limited so that it holds about this many
 # floats; the batched checks and pit passes work through such blocks
 _BLOCK_FLOATS = 65536
 
@@ -275,14 +275,6 @@ class FiniteSpace:
             return float(self._matrix[i, j])
         return float(i != j)
 
-    def metric_matrix(self) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
-        c = self._coords
-        if c is None:
-            return np.ones((len(self), len(self))) - np.eye(len(self))
-        return np.abs(c[:, None] - c[None, :])
-
     def subset_diameter(self, indices: Sequence[int] | np.ndarray) -> float:
         """Max pairwise distance over the subset; 0 for empty or singleton sets."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -366,9 +358,6 @@ class BoundedFunction:
         """The values themselves: one row of a stacked batch."""
         return self.values
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.row)))
-
     def shifted(self, c: float):
         return self.space.from_row(self.row + float(c))
 
@@ -391,16 +380,6 @@ class BoundedFunction:
         """inf over points of (self - other), the left side of the positivity bound."""
         _require_same_space(self.space, other.space)
         return float(np.min(self.row - other.row))
-
-
-def pointwise_max(F, G):
-    """Pointwise maximum F v G of two functions on one space."""
-    return F.pointwise_max(G)
-
-
-def sup_distance(F, G) -> float:
-    """Sup-norm distance between two functions on one space."""
-    return F.sup_distance(G)
 
 
 class ProbabilityMeasure:
@@ -502,10 +481,6 @@ class RateFunction:
 
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
-
-    def min_finite(self) -> float:
-        m = self.finite_mask()
-        return float(self.values[m].min()) if m.any() else float("inf")
 
 
 class DecreasingSequence:

@@ -320,7 +320,7 @@ def _reference_point(L, index, sched):
     ],
     ids=["log_integral_512", "ldp_term_200", "tail_limsup", "per_function_handle"],
 )
-@pytest.mark.parametrize("sched", [PitSchedule(), PitSchedule().capped(5), PitSchedule((3.0,))], ids=["default", "capped", "one_depth"])
+@pytest.mark.parametrize("sched", [PitSchedule(), PitSchedule(tuple(2.0**k for k in range(6))), PitSchedule((3.0,))], ids=["default", "capped", "one_depth"])
 def test_dual_rate_matches_per_point_loop(make, sched):
     L = make()
     report = dual_rate(L, sched)

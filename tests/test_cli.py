@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from vflab import ldp_lab
 from vflab.cli import run
 from vflab.serialize import dumps
 
@@ -73,12 +74,6 @@ class TestDualAndReconstruct:
         assert doc["convergence"][2]["divergent"] is True
         assert not doc["convergence"][0]["divergent"]
 
-    def test_cmax_caps_depths(self, tmp_path, capsys):
-        f = write(tmp_path, "L.json", UNIFORM2)
-        code, out, _ = run_cli(capsys, "dual", "--functional", f, "--cmax", "6")
-        assert code == 0
-        assert all(c["depth"] <= 64.0 for c in json.loads(out)["convergence"])
-
     def test_reconstruct_from_dual_output(self, tmp_path, capsys):
         f = write(tmp_path, "L.json", SUP3)
         g = write(tmp_path, "F.json", {"values": [0.25, 1.4, 9.0]})
@@ -138,11 +133,10 @@ class TestAscentCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(LOG_HALF_1PE, abs=1e-8)
 
-        code, out, _ = run_cli(
-            capsys, "recover", "--measure", m, "--f", g, "--no-exact-gradient"
-        )
-        assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(LOG_HALF_1PE, abs=1e-5)
+        # the CLI takes the exact gradient where there is one; finite differences cannot be forced
+        code, out, err = run_cli(capsys, "recover", "--measure", m, "--f", g, "--no-exact-gradient")
+        assert (code, out) == (2, "")
+        assert err == 'vflab: error kind=usage detail="unrecognized arguments: --no-exact-gradient"\n'
 
     def test_csv_row(self, tmp_path, capsys):
         f = write(tmp_path, "L.json", UNIFORM2)
@@ -441,11 +435,41 @@ class TestErrorRecords:
         detail = re.sub(r"\\(.)", r"\1", record.group(1))
         assert detail == f"values: expected a number, got {entry!r} (field 'values')"
 
-    def test_cmax_past_the_float_range_keeps_the_schedule(self, tmp_path, capsys):
-        f = write(tmp_path, "L.json", UNIFORM2)
-        _, full, _ = run_cli(capsys, "dual", "--functional", f)
-        code, out, err = run_cli(capsys, "dual", "--functional", f, "--cmax", "1024")
-        assert (code, out, err) == (0, full, "")
+    @pytest.mark.parametrize(
+        "argv, removed",
+        [
+            (("dual", "--functional", "{L}"), ("--cmax", "6")),
+            (("gap", "--functional", "{L}", "--f", "{F}"), ("--cmax", "6")),
+            (("conjugate", "--functional", "{L}", "--measure", "{mu}"), ("--no-exact-gradient",)),
+            (("recover", "--measure", "{mu}", "--f", "{F}"), ("--exact-gradient",)),
+        ],
+        ids=["dual_cmax", "gap_cmax", "conjugate_gradient_switch", "recover_gradient_switch"],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, argv, removed):
+        files = {
+            "L": write(tmp_path, "L.json", UNIFORM2),
+            "F": write(tmp_path, "F.json", {"values": [1.0, 0.0]}),
+            "mu": write(tmp_path, "mu.json", [0.5, 0.5]),
+        }
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv), *removed)
+        assert (code, out) == (2, "")
+        assert err == f'vflab: error kind=usage detail="unrecognized arguments: {" ".join(removed)}"\n'
+
+    def test_schedule_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
+        # stands in for numpy's MemoryError subclass, so nothing is allocated
+        def refuse(n):
+            raise MemoryError(f"Unable to allocate {8 * (n + 1)} bytes for an array with shape ({n + 1},)")
+
+        monkeypatch.setattr(ldp_lab, "_log_factorials", refuse)
+        g = write(tmp_path, "grid.json", {"values": [0.0, 1.0], "xs": [0.0, 1.0]})
+        detail = "Unable to allocate 16000000008 bytes for an array with shape (2000000001,)"
+        for argv in (
+            ("cramer", "--p", "0.5", "--schedule", "1,2,2000000000", "--f", g),
+            ("tightness", "--p", "0.5", "--schedule", "1,2,2000000000", "--level", "0.1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f'vflab: error kind=MemoryError detail="{detail}"\n'
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--f", "x.json")

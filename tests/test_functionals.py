@@ -12,7 +12,6 @@ from vflab import (
     RateFunction,
     ldp_term,
     log_integral,
-    pointwise_max,
     sup_form,
     tail_limsup,
 )
@@ -143,7 +142,7 @@ class TestSupForm:
         space = FiniteSpace.default(4)
         L = sup_form(RateFunction([0.0, 0.5, 1.0, np.inf], space), L0=-0.7)
         F, G = space.function(a), space.function(b)
-        assert L(pointwise_max(F, G)) == pytest.approx(max(L(F), L(G)), abs=1e-12)
+        assert L(F.pointwise_max(G)) == pytest.approx(max(L(F), L(G)), abs=1e-12)
 
 
 class TestLdpTerm:

@@ -175,19 +175,17 @@ def _values(flag, valid, drawn):
 
 
 DEPTHS = _values("--schedule", None, ("default", "1,2,4,8", "nan", "-1,2", "2,1", "x"))
-EXACT = ((), [("--exact-gradient",), ("--no-exact-gradient",)])
 COMMANDS = {
     "eval": [_file("--functional", "log_integral"), _file("--f", "function")],
-    "dual": [_file("--functional", "log_integral"), DEPTHS, _values("--cmax", None, NUMBERS)],
+    "dual": [_file("--functional", "log_integral"), DEPTHS],
     "reconstruct": [_file("--rate", "rate"), _file("--f", "function")],
-    "gap": [_file("--functional", "sup_form"), _file("--f", "function"), DEPTHS, _values("--cmax", None, NUMBERS)],
+    "gap": [_file("--functional", "sup_form"), _file("--f", "function"), DEPTHS],
     "conjugate": [
         _file("--functional", "log_integral"),
         _file("--measure", "measure"),
         _values("--tol", None, NUMBERS),
-        EXACT,
     ],
-    "recover": [_file("--measure", "measure"), _file("--f", "function"), _values("--tol", None, NUMBERS), EXACT],
+    "recover": [_file("--measure", "measure"), _file("--f", "function"), _values("--tol", None, NUMBERS)],
     "check": [
         _file("--functional", "log_integral"),
         _values("--property", "monotone", ("translation", "lipschitz", "sigma", "bogus", "")),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestCramerPieces:
         with pytest.raises(InvalidP):
             cramer_sequence(1.0, [1, 2])
 
+    @pytest.mark.parametrize(
+        "take",
+        [lambda p: cramer_sequence(p, [2, 4]), lambda p: binomial_weights(4, p), cramer_rate],
+        ids=["cramer_sequence", "binomial_weights", "cramer_rate"],
+    )
+    def test_one_check_of_p(self, take):
+        take(np.float32(0.3))  # any real p in (0, 1), numpy scalars too
+        for bad in (True, "0.3", None, math.nan):
+            with pytest.raises(InvalidP, match=re.escape(f"p must lie strictly between 0 and 1, got {bad!r}")):
+                take(bad)
+
     def test_rate_edges_and_zero(self):
         I = cramer_rate(0.5)
         assert I(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -205,11 +217,6 @@ class TestGridFunction:
         with pytest.raises(ValidationError):
             GridFunction([np.nan, 1.0], [0.0, 1.0])
 
-    def test_from_callable_hits_nodes(self):
-        g = GridFunction.from_callable(lambda x: x * x, [0.0, 0.5, 1.0])
-        assert g(0.5) == 0.25
-        assert g(0.25) == 0.125  # chord, not the parabola
-
     def test_clamps_outside_range(self):
         g = GridFunction([1.0, 3.0], [0.0, 1.0])
         assert g(-5.0) == 1.0 and g(5.0) == 3.0
@@ -255,6 +262,8 @@ class TestLdpValueAndLimit:
         entry = SequenceEntry(1, FiniteSpace.default(2), ProbabilityMeasure([0.5, 0.5]))
         with pytest.raises(ValidationError):
             ldp_value(entry, lambda x: x)
+        with pytest.raises(ValidationError, match="need a line space with coordinates"):
+            empirical_rate_at(entry, 0.5)
 
     def test_constant_series_extrapolates_to_itself(self):
         seq = cramer_sequence(0.5, [2, 4, 8, 16])

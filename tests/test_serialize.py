@@ -380,8 +380,11 @@ class TestListFields:
         assert exc.value.field == "weights"
 
     def test_inf_strings_kept(self):
-        L0, rate = decode_rate({"rate": [0.0, "inf", "+Infinity"], "L0": "0.5"})
-        assert L0 == 0.5 and list(rate.values[1:]) == [math.inf, math.inf]
+        L0, rate = decode_rate({"rate": [0.0, "inf", "+Infinity", " INF ", "infinity"], "L0": "0.5"})
+        assert L0 == 0.5 and list(rate.values[1:]) == [math.inf] * 4
+        # read as the number -inf, which a rate refuses for its sign, not for its spelling
+        with pytest.raises(ValidationError, match=r"rate entries must be in \[0, inf\]"):
+            decode_rate({"rate": [0.0, "-Infinity"], "L0": 0.0})
 
     @pytest.mark.parametrize(
         "doc, field",

@@ -14,8 +14,6 @@ from vflab import (
     ProbabilityMeasure,
     RateFunction,
     make_measure,
-    pointwise_max,
-    sup_distance,
     validate_decreasing,
 )
 from vflab.errors import (
@@ -42,7 +40,7 @@ class TestFiniteSpace:
         s = FiniteSpace.from_line([0.0, 0.5, 1.0])
         assert s.point_ids == ("0.0", "0.5", "1.0")
         assert s.distance(0, 2) == 1.0
-        assert np.allclose(s.metric_matrix(), [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
+        assert np.allclose([[s.distance(i, j) for j in range(3)] for i in range(3)], [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
 
     def test_explicit_metric_validation(self):
         with pytest.raises(ValidationError):
@@ -92,7 +90,8 @@ class TestFiniteSpace:
         a, b = FiniteSpace.default(5000), FiniteSpace.default(5000)
         assert a is not b and a == b and hash(a) == hash(b)
         assert a.distance(0, 4999) == 1.0 and a.subset_diameter([3, 3]) == 0.0
-        assert FiniteSpace.default(3).metric_matrix().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        d = FiniteSpace.default(3)
+        assert [[d.distance(i, j) for j in range(3)] for i in range(3)] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_signed_zeros_are_distinct_points(self):
         s = FiniteSpace.from_line([0.0, -0.0])
@@ -195,10 +194,9 @@ class TestBoundedFunction:
         assert F.shifted(2.0).values.tolist() == [3.0, 0.0, 2.5]
         assert F.scaled(-1.0).values.tolist() == [-1.0, 2.0, -0.5]
         assert F.plus(G).values.tolist() == [1.0, -1.0, 1.0]
-        assert pointwise_max(F, G).values.tolist() == [1.0, 1.0, 0.5]
-        assert sup_distance(F, G) == 3.0
+        assert F.pointwise_max(G).values.tolist() == [1.0, 1.0, 0.5]
+        assert F.sup_distance(G) == 3.0
         assert F.inf_minus(G) == -3.0
-        assert F.sup_norm() == 2.0
 
     def test_space_mismatch(self):
         F = FiniteSpace.default(2).function([1.0, 2.0])
@@ -216,7 +214,7 @@ class TestBoundedFunction:
         n = len(a)
         s = FiniteSpace.default(n)
         F, G, H = s.function(a), s.function(b[:n]), s.function(c[:n])
-        assert sup_distance(F, H) <= sup_distance(F, G) + sup_distance(G, H) + 1e-12
+        assert F.sup_distance(H) <= F.sup_distance(G) + G.sup_distance(H) + 1e-12
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), st.floats(-20, 20))
     @settings(max_examples=50, deadline=None)
@@ -224,8 +222,8 @@ class TestBoundedFunction:
         s = FiniteSpace.default(len(a))
         F = s.function(a)
         G = s.function(a[::-1])
-        left = pointwise_max(F.shifted(c), G.shifted(c)).values
-        right = pointwise_max(F, G).shifted(c).values
+        left = F.shifted(c).pointwise_max(G.shifted(c)).values
+        right = F.pointwise_max(G).shifted(c).values
         assert np.allclose(left, right, atol=1e-12)
 
 
@@ -281,11 +279,6 @@ class TestRateFunction:
             RateFunction([np.nan, 1.0], s)
         r = RateFunction([0.0, np.inf], s)
         assert r.finite_mask().tolist() == [True, False]
-        assert r.min_finite() == 0.0
-
-    def test_min_finite_all_infinite(self):
-        r = RateFunction([np.inf, np.inf], FiniteSpace.default(2))
-        assert r.min_finite() == np.inf
 
 
 class TestValidateDecreasing:
