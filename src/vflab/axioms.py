@@ -1,14 +1,16 @@
 """Randomized, seeded certification of the defining properties.
 
-Trial t of a check with seed s draws its inputs from the stream of
-numpy.random.default_rng(s + t), field by field (F, then G or c), each
-field as Generator.uniform would draw it; so reports are bit-identical
-for a given seed, trials may in principle run in any order, and a
-witness's inputs can be regenerated with numpy alone.  The checks do not
-build one generator per trial: they derive the generator states of a
-whole block of trials in one vectorized pass and draw every row from one
-PCG64.  Violations are data, not errors: a check returns a CheckReport
-whose witness, re-evaluated standalone, reproduces the worst violation.
+A check with seed s reads one stream, numpy.random.default_rng(s): trial
+t's inputs are row t of random((trials, draws_per_trial)), split field
+by field (F, then G or c; a function takes its row width, a constant
+one draw), each field scaled as Generator.uniform would scale it.  So
+reports are bit-identical for a given seed, a k-trial check sees the
+first k trials of any longer one, blocks of trials can be drawn in any
+order (PCG64 advances to a block's first row), and a witness's inputs
+can be regenerated with numpy alone from the report's seed and the
+witness's trial.  Violations are data, not errors: a check returns a
+CheckReport whose witness, re-evaluated standalone, reproduces the
+worst violation.
 
 Conventions shared by all checks: function entries are drawn i.i.d.
 uniform [-5, 5], monotone perturbations uniform [0, 5], translation
@@ -73,95 +75,18 @@ def _validate_run(trials: int, seed: int, tol: float) -> None:
         raise ValidationError(f"tolerance must be nonnegative, got {tol!r}")
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# seeding step; numpy keeps both streams stable (NEP 19), so
-# default_rng(s).bit_generator.state can be computed for a block of seeds
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiplier) pair of each successive SeedSequence hash."""
-    while True:
-        nxt = init * mult & _MASK32
-        yield init, nxt
-        init = nxt
-
-
-def _hash(words: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    words = (words ^ xor) * mult
-    return words ^ (words >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> _XSHIFT)
-
-
-def _pcg64_states(first: int, n: int) -> list[tuple[int, int]]:
-    """(state, inc) of default_rng(first + i).bit_generator, for i < n.
-
-    SeedSequence(first + i).generate_state(4, np.uint64) for the whole
-    block in uint32 arrays, one per word, then PCG64's seeding step on
-    Python ints.
-    """
-    # each seed's 32-bit words, least significant first, carried across words
-    n_words = max(_POOL_SIZE, -(-(first + n - 1).bit_length() // 32))
-    words = np.empty((n_words, n), np.uint32)
-    carry = np.arange(n, dtype=np.uint64)
-    for j in range(n_words):
-        total = carry + ((first >> 32 * j) & _MASK32)
-        words[j] = total & _MASK32
-        carry = total >> 32
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(words[j], constants) for j in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    # words past the pool (seeds >= 2**128) are mixed in only where a row has them
-    for j in range(_POOL_SIZE, n_words):
-        present = words[j:].any(axis=0)
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(present, _mix(pool[dst], _hash(words[j], constants)), pool[dst])
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    halves = [_hash(pool[k % _POOL_SIZE], constants).astype(np.uint64) for k in range(8)]
-    v0, v1, v2, v3 = ((halves[2 * k + 1] << 32 | halves[2 * k]).tolist() for k in range(4))
-    states = []
-    for a, b, c, d in zip(v0, v1, v2, v3):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
 def _trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """Row i is np.random.default_rng(s).random(count) for s = seed + start + i, bit for bit."""
-    out = np.empty((stop - start, count))
-    bit_generator = np.random.PCG64(0)  # every row sets its own state
-    gen = np.random.Generator(bit_generator)
-    for row, (state, inc) in zip(out, _pcg64_states(int(seed) + start, stop - start)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.random(out=row)
-    return out
+    """Rows start..stop-1 of np.random.default_rng(seed).random((N, count)), bit for bit."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(start * count)
+    return np.random.Generator(bit_generator).random((stop - start, count))
 
 
 def _draw(seed: int, start: int, stop: int, *fields) -> dict:
     """Trials start..stop-1: fields are (key, low, high, size) uniform draws.
 
-    Row i of every array is trial start + i, drawn from default_rng(s)
-    for s = seed + start + i, field by field in the order given, as
+    Row i of every array is trial start + i, row start + i of the seed's
+    one stream, split field by field in the order given, each field as
     Generator.uniform(low, high, size) would draw it; size None draws one
     scalar per trial.  A function is one draw over its whole row (grid,
     then tail), so a trial's inputs do not depend on the block it falls

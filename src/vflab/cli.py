@@ -73,24 +73,14 @@ def _emit(args, doc: dict, table=None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_depth_schedule(args) -> PitSchedule:
-    text = args.schedule or "default"
-    if text == "default":
-        return PitSchedule()
-    try:
-        depths = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise _UsageError(f"bad --schedule {text!r}: expected 'default' or comma-separated depths") from None
-    return PitSchedule(depths)
-
-
-def _parse_n_schedule(text: str | None) -> tuple[int, ...]:
+def _parse_schedule(text: str | None, default, parse, expected: str):
+    """--schedule as a tuple of parse(token); absent or 'default' gives default."""
     if text in (None, "default"):
-        return CRAMER_DEFAULT_SCHEDULE
+        return default
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(parse(tok) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(f"bad --schedule {text!r}: expected 'default' or comma-separated integers") from None
+        raise _UsageError(f"bad --schedule {text!r}: expected 'default' or comma-separated {expected}") from None
 
 
 def _load_function_on(path, space):
@@ -111,7 +101,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dual(args) -> int:
     L = serialize.load_functional(args.functional)
-    sched = _parse_depth_schedule(args)
+    sched = PitSchedule(_parse_schedule(args.schedule, None, float, "depths"))
     log.info("dual of %s over %d depths", L.name, len(sched.depths))
     report = dual_rate(L, sched)
     _emit(args, serialize.encode_dual_report(report), lambda: serialize.dual_report_csv(report))
@@ -129,7 +119,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_gap(args) -> int:
     L = serialize.load_functional(args.functional)
     F = _load_function_on(args.f, L.space)
-    sched = _parse_depth_schedule(args)
+    sched = PitSchedule(_parse_schedule(args.schedule, None, float, "depths"))
     report = dual_rate(L, sched)
     value = L.evaluate(F)
     recon = reconstruct(report.rate, report.base_value, F)
@@ -176,7 +166,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cramer(args) -> int:
-    schedule = _parse_n_schedule(args.schedule)
+    schedule = _parse_schedule(args.schedule, CRAMER_DEFAULT_SCHEDULE, int, "integers")
     seq = cramer_sequence(args.p, schedule)
     F = serialize.decode_grid_function(serialize.read_json(args.f))
     report = estimate_limit(seq, F)
@@ -191,7 +181,8 @@ def _cmd_tightness(args) -> int:
             raise _UsageError("argument --schedule: not allowed with argument --measure")
         seq = serialize.load_measure_sequence(args.measure)
     else:
-        seq = cramer_sequence(args.p, _parse_n_schedule(args.schedule))
+        schedule = _parse_schedule(args.schedule, CRAMER_DEFAULT_SCHEDULE, int, "integers")
+        seq = cramer_sequence(args.p, schedule)
     pairs = tightness_scan(seq, args.level)
     _emit(args, serialize.encode_tightness(args.level, pairs), lambda: serialize.tightness_csv(pairs))
     return 0

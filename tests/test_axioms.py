@@ -81,13 +81,27 @@ class TestDeterminism:
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.violations = 99
 
-    def test_per_trial_seeding(self):
-        # trial t of a batch uses generator seed + t, so batch-of-5 worst
-        # equals the max over five single-trial runs
+    def test_prefix_of_one_stream(self):
+        # every check on a seed reads one stream in trial order, so a
+        # k-trial check sees exactly the first k trials of a longer one:
+        # its worst trial is the long check's worst from the first trial
+        # that reaches it on, and strictly below it before
         L = broken_translation_handle()
-        batch = check_translation(L, trials=5, seed=10)
-        singles = [check_translation(L, trials=1, seed=10 + i) for i in range(5)]
-        assert batch.worst_violation == max(s.worst_violation for s in singles)
+        full = check_translation(L, trials=40, seed=10)
+        worst_trial = full.witness["trial"]
+        assert full.violations == 40 and 0 < worst_trial < 39
+        previous = -math.inf
+        for k in range(1, 41):
+            report = check_translation(L, trials=k, seed=10)
+            assert report.violations == k
+            assert report.worst_violation >= previous
+            previous = report.worst_violation
+            if k > worst_trial:
+                assert report.witness == full.witness
+                assert report.worst_violation == full.worst_violation
+            else:
+                assert report.witness["trial"] < k
+                assert report.worst_violation < full.worst_violation
 
 
 class TestBrokenHandles:
@@ -169,6 +183,37 @@ class TestWitnesses:
         assert report.witness is not None
         assert "tail_value" in report.witness["last_term"]
         assert abs(reevaluate_witness(L, report) - report.worst_violation) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make, check, tol, fields",
+        [
+            # F uniform [-5, 5], then G = F + a uniform [0, 5] perturbation
+            (broken_monotone_handle, check_monotone, 1e-9, (("F", -5.0, 5.0), ("G", 0.0, 5.0))),
+            (broken_lipschitz_handle, check_lipschitz, 1e-9, (("F", -5.0, 5.0), ("G", -5.0, 5.0))),
+            # a tail row is the grid values, then the tail value; at tol 0
+            # the rounding of F + c counts as a violation
+            (tail_limsup, check_translation, 0.0, (("F", -5.0, 5.0), ("c", -10.0, 10.0))),
+        ],
+        ids=["monotone_finite", "lipschitz_finite", "translation_tail"],
+    )
+    def test_witness_regenerated_with_numpy_alone(self, make, check, tol, fields):
+        L = make()
+        report = check(L, trials=200, seed=2**64 + 901, tol=tol)
+        assert report.violations > 0
+        w = report.witness
+        width = L.space.row_width
+        sizes = [None if key == "c" else width for key, _, _ in fields]
+        gen = np.random.Generator(np.random.PCG64(report.seed))
+        gen.bit_generator.advance(w["trial"] * sum(size or 1 for size in sizes))
+        drawn = {key: gen.uniform(low, high, size) for (key, low, high), size in zip(fields, sizes)}
+        if check is check_monotone:
+            drawn["G"] = drawn["G"] + drawn["F"]
+        for key, value in drawn.items():
+            got = w[key]
+            if isinstance(got, dict):
+                got = got["values"] + ([got["tail_value"]] if "tail_value" in got else [])
+            assert np.shape(got) == np.shape(value)
+            assert np.array(got, dtype=float).tobytes() == np.asarray(value).tobytes(), key
 
 
 class TestSigmaContinuity:

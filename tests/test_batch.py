@@ -2,8 +2,9 @@
 
 The references below are the one-function-at-a-time forms the batched
 code replaced: each check draws every trial's functions with
-sample_function and evaluates them one by one, and the pit dual walks one
-point through its depths.  Reports must match them field for field.
+sample_function from one generator, trial after trial, and evaluates
+them one by one, and the pit dual walks one point through its depths.
+Reports must match them field for field.
 """
 
 import math
@@ -51,13 +52,13 @@ from vflab.axioms import (
 )
 from vflab.errors import PreconditionFailed, ValidationError
 from vflab.serialize import encode_function as _encode_function
-from vflab.space import _lse
+from vflab.space import _BLOCK_FLOATS, _lse, _row_blocks
 
 # past two blocks of tail trials (63 trials of 2 x 514 draws), so block joins are covered
 TRIALS = 150
 SEEDS = (0, 42, 12345)
-# trial seeds past 2**64 and 2**128: the block's seed words carry and the
-# seeds have more words than SeedSequence's pool
+# a seed just under 2**64 and one past 2**128: PCG64 is seeded from all
+# of their words, and the report must carry them back unchanged
 HUGE_SEEDS = (2**64 - 50, 10**40)
 
 
@@ -173,11 +174,14 @@ def test_construction_refuses_rows_that_keep_the_reduced_axis():
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 3, 2**64 - 3, 2**128 - 3, 2**160 - 3, 10**40])
 @pytest.mark.parametrize("count", [1, 17, 1028])
 def test_trial_uniforms_match_default_rng(seed, count):
-    # trials 1..6: the blocks of seeds 2**k - 3 straddle 2**k
-    got = _trial_uniforms(seed, 1, 7, count)
-    want = np.array([np.random.default_rng(seed + t).random(count) for t in range(1, 7)])
-    assert got.shape == (6, count)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # rows of one stream: from the start, from trial 1, and across the
+    # first block boundary of the checks' blocking
+    step = _row_blocks(_BLOCK_FLOATS + 1, count)[1][0]
+    want = np.random.default_rng(seed).random((step + 3, count))
+    for start, stop in ((0, 6), (1, 7), (step - 2, step + 3)):
+        got = _trial_uniforms(seed, start, stop, count)
+        assert got.shape == (stop - start, count)
+        assert np.array_equal(got.view(np.uint64), want[start:stop].view(np.uint64))
 
 
 # -- the checks against a per-trial reference loop --
@@ -231,8 +235,9 @@ def _reference_report(check: str, L, trials: int, seed: int) -> CheckReport:
     if check == "const_preserving":
         CHECKS[check](L, trials=1, seed=seed)  # the same precondition probe
     worst, worst_inputs, violations = -np.inf, None, 0
+    rng = np.random.default_rng(seed)  # one stream, every trial drawn in order
     for t in range(trials):
-        inputs = sampler(L.space, np.random.default_rng(seed + t))
+        inputs = sampler(L.space, rng)
         raw = raw_of(L, inputs)
         violations += raw > 1e-9
         if raw > worst:

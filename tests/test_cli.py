@@ -392,11 +392,17 @@ class TestErrorRecords:
             ("reconstruct", "--rate", "{rate_metric_row}", "--f", "{F2}"),
             ("eval", "--functional", "{S_points_str}", "--f", "{f_str}"),
             ("tightness", "--measure", "{seq_split}", "--level", "0.2"),
+            ("dual", "--functional", "{L}", "--schedule", ""),
+            ("gap", "--functional", "{L}", "--f", "{F}", "--schedule", ""),
+            ("cramer", "--p", "0.5", "--schedule", "", "--f", "{grid}"),
+            ("tightness", "--p", "0.5", "--schedule", "", "--level", "0.2"),
         ],
         ids=[
             "eval_values_scalar", "reconstruct_values_scalar", "recover_values_scalar",
             "rate_scalar", "points_scalar", "grid_scalar", "xs_scalar", "metric_string",
             "metric_row_string", "string_values_on_string_points", "csv_split_group",
+            "dual_empty_schedule", "gap_empty_schedule", "cramer_empty_schedule",
+            "tightness_empty_schedule",
         ],
     )
     def test_malformed_inputs_exit_2(self, tmp_path, capsys, argv):
@@ -413,6 +419,7 @@ class TestErrorRecords:
             "S_points_str": write(tmp_path, "S3.json", {"kind": "sup_form", "rate": [0, 1, 2], "points": "abc"}),
             "T_grid_scalar": write(tmp_path, "T.json", {"kind": "tail_limsup", "grid": 5}),
             "grid_xs_scalar": write(tmp_path, "grid.json", {"values": [0.0, 1.0], "xs": 5}),
+            "grid": write(tmp_path, "grid_ok.json", {"values": [0.0, 1.0], "xs": [0.0, 1.0]}),
             "rate_metric_str": write(tmp_path, "r1.json", {"rate": [0, 1, 2], "points": ["a", "b", "c"], "metric": "abc"}),
             "rate_metric_row": write(tmp_path, "r2.json", {"rate": [0, 1], "points": ["a", "b"], "metric": [[0, "x"], [1, 0]]}),
         }

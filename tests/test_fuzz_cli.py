@@ -159,7 +159,8 @@ def test_one_mutation_gives_an_exit_code_or_one_error_line(tmp_path_factory, cas
 
 
 NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e-3", "0.5", "2", "abc", "")
-# trial seeds that carry past 2**32 and 2**64, and one with more words than SeedSequence's pool
+# seeds just under 2**32 and 2**64 and one past 2**128: PCG64 is seeded
+# from all of their words, and the report carries each back unchanged
 HUGE_SEEDS = ("4294967295", "18446744073709551000", "1234567890123456789012345678901234567890")
 SCHEDULES = ("default", "1,2,4", "16,64,256", "4096", "4,2,1", "0,1,2", "1,nan", "x", "")
 
@@ -174,7 +175,7 @@ def _values(flag, valid, drawn):
     return (() if valid is None else (flag, valid)), [(), *((flag, v) for v in drawn)]
 
 
-DEPTHS = _values("--schedule", None, ("default", "1,2,4,8", "nan", "-1,2", "2,1", "x"))
+DEPTHS = _values("--schedule", None, ("default", "1,2,4,8", "nan", "-1,2", "2,1", "x", ""))
 COMMANDS = {
     "eval": [_file("--functional", "log_integral"), _file("--f", "function")],
     "dual": [_file("--functional", "log_integral"), DEPTHS],
