@@ -70,7 +70,6 @@ from .ldp_lab import (
 from .serialize import load_measure_sequence as ingest_sequence
 from .space import (
     BoundedFunction,
-    DecreasingSequence,
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
@@ -87,7 +86,6 @@ __all__ = [
     "BoundedFunction",
     "ProbabilityMeasure",
     "RateFunction",
-    "DecreasingSequence",
     "make_measure",
     "validate_decreasing",
     # functionals

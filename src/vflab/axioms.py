@@ -8,9 +8,11 @@ reports are bit-identical for a given seed, a k-trial check sees the
 first k trials of any longer one, blocks of trials can be drawn in any
 order (PCG64 advances to a block's first row), and a witness's inputs
 can be regenerated with numpy alone from the report's seed and the
-witness's trial.  Violations are data, not errors: a check returns a
-CheckReport whose witness, re-evaluated standalone, reproduces the
-worst violation.
+witness's trial.  The const-preservation probe reads the child stream
+default_rng(SeedSequence(s, spawn_key=(0,))) instead, which shares no
+draw with any seed's trial stream.  Violations are data, not errors: a
+check returns a CheckReport whose witness, re-evaluated standalone,
+reproduces the worst violation.
 
 Conventions shared by all checks: function entries are drawn i.i.d.
 uniform [-5, 5], monotone perturbations uniform [0, 5], translation
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import PreconditionFailed, SequenceNotVanishing, ValidationError
 from .serialize import decode_function, encode_function
-from .space import DecreasingSequence, _row_blocks, validate_decreasing
+from .space import _row_blocks, validate_decreasing
 
 DEFAULT_TOL = 1e-9
 _RESIDUAL_GATE = 1e-6
@@ -258,33 +260,35 @@ def check_lipschitz(L, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_
 def check_sigma_continuity(L, seq, tol: float = DEFAULT_TOL) -> CheckReport:
     """Along one vanishing sequence: L(last term) must come back to L(0).
 
-    The sequence must actually vanish (residual <= 1e-6 on the grid),
-    otherwise SequenceNotVanishing; the assertion discounts the residual
+    seq is any iterable of terms, validated as decreasing; its residual, the
+    largest |value| of the last term over the points, must be <= 1e-6,
+    otherwise SequenceNotVanishing.  The assertion discounts the residual
     through the Lipschitz constant.  A pass is evidence along this
     sequence only; a failure is a proof, and the trajectory shows it.
     """
     _validate_run(trials=1, seed=0, tol=tol)
-    if not isinstance(seq, DecreasingSequence):
-        seq = validate_decreasing(seq)
-    if seq.residual > _RESIDUAL_GATE:
+    terms = validate_decreasing(seq)
+    # over the points only: a tail value is read through L itself
+    residual = float(np.max(np.abs(terms[-1].values)))
+    if residual > _RESIDUAL_GATE:
         raise SequenceNotVanishing(
-            f"residual {seq.residual} exceeds {_RESIDUAL_GATE}; cannot conclude"
+            f"residual {residual} exceeds {_RESIDUAL_GATE}; cannot conclude"
         )
-    trajectory = tuple(L.evaluate(term) for term in seq.terms)
+    trajectory = tuple(L.evaluate(term) for term in terms)
     deviation = abs(trajectory[-1] - L.base_value)
-    raw = deviation - _LIPSCHITZ_CONSTANT * seq.residual
+    raw = deviation - _LIPSCHITZ_CONSTANT * residual
     violations = 1 if raw > tol else 0
     witness = None
     if violations:
         witness = {
-            "last_term": encode_function(seq.terms[-1]),
-            "residual": seq.residual,
+            "last_term": encode_function(terms[-1]),
+            "residual": residual,
             "trajectory": [float(v) for v in trajectory],
             "base_value": float(L.base_value),
         }
     return CheckReport(
         property_name="sigma_continuity",
-        trials=len(seq.terms),
+        trials=len(terms),
         violations=violations,
         worst_violation=float(raw),
         witness=witness,
@@ -294,19 +298,20 @@ def check_sigma_continuity(L, seq, tol: float = DEFAULT_TOL) -> CheckReport:
     )
 
 
-def vanishing_sequence(domain) -> DecreasingSequence:
-    """VANISHING_SCALES functions F_k decreasing to zero on the given domain.
+def vanishing_sequence(domain) -> tuple:
+    """VANISHING_SCALES functions F_k decreasing to zero, as a tuple of terms.
 
     Finite spaces halve a positive profile; the half-line domain uses the
-    escaping ramps min(1, x/2^k), whose grid residual vanishes while the
-    declared tails stay at 1.  Both end below the 1e-6 residual gate.
+    escaping ramps min(1, x/2^k), whose grid values vanish while the
+    declared tails stay at 1.  Both end below the 1e-6 residual gate,
+    which is taken over the points of the last term.
     """
     if hasattr(domain, "ramp"):
         terms = [domain.ramp(2.0**k) for k in range(VANISHING_SCALES)]
     else:
         base = domain.constant_function(1.0)
         terms = [base.scaled(0.5**k) for k in range(VANISHING_SCALES)]
-    return validate_decreasing(terms)
+    return tuple(terms)
 
 
 def check_const_preserving_implies_translation(
@@ -314,8 +319,9 @@ def check_const_preserving_implies_translation(
 ) -> CheckReport:
     """For convex constant-preserving functionals, translation follows.
 
-    Spot-verifies the precondition Phi(const) = const first, then per
-    trial checks the interpolation bound
+    Spot-verifies the precondition Phi(const) = const first, at 0, 1, -1
+    and five constants from the seed's child stream (module docstring),
+    then per trial checks the interpolation bound
         Phi(F + c) <= Phi(F) + c + theta * (Phi(2F)/2 - Phi(F))
     at theta in {1/2, 1/4, 1/8} together with the translation identity
     itself; the raw violation is the worst of the four defects.
@@ -324,7 +330,7 @@ def check_const_preserving_implies_translation(
     if not phi.claims_convex:
         raise PreconditionFailed("handle does not claim convexity")
     domain = phi.space
-    probe_rng = np.random.default_rng(seed)
+    probe_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     for c in [0.0, 1.0, -1.0, *probe_rng.uniform(CONST_LOW, CONST_HIGH, 5)]:
         defect = abs(phi.evaluate(domain.constant_function(c)) - c)
         if defect > tol:

@@ -15,6 +15,7 @@ sigma-continuous functionals, strictly positive otherwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,8 @@ class PitSchedule:
 
     def __post_init__(self):
         depths = self.depths if self.depths is not None else _DEFAULT_DEPTHS
+        if not all(isinstance(d, numbers.Real) for d in depths):
+            raise ValidationError("depths must be positive and finite")
         depths = tuple(float(d) for d in depths)
         # comparisons written as not (x > y) so that nan is refused too
         if not depths or not all(0 < d < math.inf for d in depths):
@@ -211,7 +214,7 @@ def sublevel_set(rate: RateFunction, a: float) -> SublevelSet:
     Empty and singleton sets have diameter 0; the boundary rate = a is
     included.
     """
-    if not a > 0:  # refuses nan as well
+    if not isinstance(a, numbers.Real) or not a > 0:  # refuses nan as well
         raise ValidationError("sublevel threshold must be positive")
     idx = np.nonzero(rate.values <= a)[0]
     return SublevelSet(

@@ -17,7 +17,6 @@ is the smallest class on which the limsup is computable from finite data.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable
 
 import numpy as np
@@ -28,9 +27,11 @@ from .space import (
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
+    _as_float_array,
     _finite,
     _freeze,
     _lse,
+    _positive_int,
     _require_same_space,
 )
 
@@ -177,8 +178,8 @@ def _coerce_measure(nu, space):
     if isinstance(nu, ProbabilityMeasure):
         log_weights = nu.log_weights
     else:
-        arr = np.array(nu, dtype=float)
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        arr = _as_float_array(nu, "weights", "weights must be a finite 1-d vector")
+        if not np.all(np.isfinite(arr)):
             raise ValidationError("weights must be a finite 1-d vector")
         if np.any(arr < 0):
             raise ValidationError("weights must be nonnegative")
@@ -282,11 +283,7 @@ def ldp_term(mu, n: int, space: FiniteSpace | None = None) -> FunctionalHandle:
     by one evaluator.  The exact gradient is the tilted measure p,
     proportional to e^{nF} mu.
     """
-    if n > sys.float_info.max:
-        raise ValidationError("n is too large for a float")
-    if not n >= 1 or int(n) != n:
-        raise ValidationError("n must be a positive integer")
-    n = int(n)
+    n = _positive_int(n)
     return _log_family(mu, n, f"ldp_term(n={n})", space)
 
 

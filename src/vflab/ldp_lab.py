@@ -23,7 +23,7 @@ import numpy as np
 from .duality import sublevel_set
 from .errors import InvalidP, InvariantViolation, ScheduleTooShort, ValidationError
 from .functionals import _log_rows
-from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _finite
+from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _as_float_array, _finite, _positive_int
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
 FIT_FRACTION = 0.5
@@ -78,8 +78,8 @@ class GridFunction:
     __slots__ = ("xs", "ys")
 
     def __init__(self, ys, xs=None):
-        ys = np.array(ys, dtype=float)
-        xs = REFERENCE_GRID if xs is None else np.array(xs, dtype=float)
+        ys = _as_float_array(ys, "ys")
+        xs = REFERENCE_GRID if xs is None else _as_float_array(xs, "xs")
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValidationError("grid function needs matching xs/ys, at least two nodes")
         if np.any(np.diff(xs) <= 0):
@@ -113,9 +113,7 @@ def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     cumulative products and are divided by their exactly rounded sum.
     """
     p = _valid_p(p)
-    n = int(n)
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
+    n = _positive_int(n)
     return _binomial_weights(n, p, _log_factorials(n))
 
 
@@ -150,13 +148,13 @@ def cramer_grid_space(n: int) -> FiniteSpace:
 def cramer_sequence(p: float, schedule) -> MeasureSequence:
     """Binomial(n, p)/n on the grid {k/n} for each n in the schedule."""
     p = _valid_p(p)
-    ns = [int(n) for n in schedule]
+    ns = list(schedule)
     if not ns:
         raise ValidationError("schedule is empty")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
+    # an order fault outranks a bad n ([4, 0]); a non-real entry is refused as n
+    if all(isinstance(n, numbers.Real) for n in ns) and any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvariantViolation("schedule must be strictly increasing")
-    if ns[0] < 1:
-        raise ValidationError("n must be a positive integer")
+    ns = [_positive_int(n) for n in ns]
     lf = _log_factorials(ns[-1])  # one table, sliced for every n
     entries = []
     for n in ns:
@@ -248,7 +246,7 @@ def tightness_scan(seq: MeasureSequence, a: float) -> tuple[tuple[int, float], .
     The diagnostic is stabilization of the diameters under refinement, not
     compactness itself, which is automatic here.
     """
-    if not a > 0:  # refuses nan as well
+    if not isinstance(a, numbers.Real) or not a > 0:  # refuses nan as well
         raise ValidationError("tightness threshold must be positive")
     out = []
     for entry in seq.entries:

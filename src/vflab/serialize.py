@@ -143,15 +143,6 @@ def read_json(path) -> dict:
 # -- spaces, functions, measures --
 
 
-def encode_space(space: FiniteSpace) -> dict:
-    doc = {"points": list(space.point_ids)}
-    if space.coords is not None:
-        doc["coords"] = _reals(space.coords)
-    elif space.metric is not None:
-        doc["metric"] = [[float(v) for v in row] for row in space.metric]
-    return doc
-
-
 def decode_space(doc, default_size: int | None = None) -> FiniteSpace:
     """Space from "points" with "coords" or an optional "metric".
 
@@ -190,10 +181,6 @@ def decode_function(doc, space):
     return BoundedFunction(values, space)
 
 
-def encode_measure(mu: ProbabilityMeasure) -> dict:
-    return {"weights": _reals(mu.weights)}
-
-
 def _measure(w: np.ndarray) -> ProbabilityMeasure:
     # sums within 1e-12 of 1 keep their bits; others are normalized with the divisor recorded
     if abs(float(w.sum()) - 1.0) <= STRUCTURAL_TOL:
@@ -210,10 +197,6 @@ def decode_measure(doc) -> ProbabilityMeasure:
 
 
 # -- rates --
-
-
-def encode_rate(rate: RateFunction, L0: float = 0.0) -> dict:
-    return {"L0": _real(L0), "rate": _reals(rate.values)}
 
 
 def decode_rate(doc) -> tuple[float, RateFunction]:
@@ -292,24 +275,6 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonify(v) for v in obj]
     return repr(obj)
-
-
-def encode_measure_sequence(seq: MeasureSequence) -> dict:
-    entries = []
-    for e in seq.entries:
-        coords = e.space.coords
-        points = _reals(coords) if coords is not None else list(e.space.point_ids)
-        entries.append({"n": int(e.n), "points": points, "weights": _reals(e.measure.weights)})
-    return {"description": seq.description, "entries": entries}
-
-
-def measure_sequence_csv(seq: MeasureSequence) -> str:
-    rows = [("n", "point", "weight")]
-    for e in seq.entries:
-        coords = e.space.coords
-        points = coords if coords is not None else e.space.point_ids
-        rows += [(int(e.n), points[i], e.measure.weights[i]) for i in range(len(e.measure))]
-    return _csv_text(rows)
 
 
 INGEST_RENORM_TOL = 1e-6
@@ -488,20 +453,15 @@ __all__ = [
     "dumps",
     "flat_csv",
     "read_json",
-    "encode_space",
     "decode_space",
     "encode_function",
     "decode_function",
-    "encode_measure",
     "decode_measure",
-    "encode_rate",
     "decode_rate",
     "encode_dual_report",
     "dual_report_csv",
     "encode_conjugate_report",
     "encode_check_report",
-    "encode_measure_sequence",
-    "measure_sequence_csv",
     "load_measure_sequence",
     "encode_limit_report",
     "limit_report_csv",

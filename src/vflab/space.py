@@ -1,6 +1,6 @@
 """Finite metric spaces and the vectors living on them.
 
-A FiniteSpace is a list of labelled points with a metric: a stored
+A FiniteSpace is a list of labelled points with a metric: a given
 matrix, or one implied by 1-d coordinates (grids on a line) or by
 neither (the discrete metric).  On top of it sit BoundedFunction (test
 functions F, each one row of space.row_width floats; the half-line domain
@@ -12,7 +12,9 @@ throughout; analytic tolerances live with the callers.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -79,10 +81,14 @@ def _row_blocks(count: int, width: int):
     return [(a, min(count, a + step)) for a in range(0, count, step)]
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _as_float_array(values, name: str, shape_error: str | None = None) -> np.ndarray:
+    """values as a 1-d float array; shape_error, if given, replaces the message for any other shape."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+        raise ValidationError(f"{name} must be a 1-d vector of numbers") from None
     if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d vector")
+        raise ValidationError(shape_error or f"{name} must be a 1-d vector")
     return arr
 
 
@@ -98,6 +104,17 @@ def _finite(x, name: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _positive_int(n) -> int:
+    """int(n) for an integral real n >= 1 in the float range; bools refused, numpy integers pass."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Real):
+        raise ValidationError("n must be a positive integer")
+    if n == math.inf or isinstance(n, int) and n > sys.float_info.max:
+        raise ValidationError("n is too large for a float")
+    if not n >= 1 or int(n) != n:  # refuses nan as well
+        raise ValidationError("n must be a positive integer")
+    return int(n)
 
 
 def _distinct_labels(coords: np.ndarray) -> bool:
@@ -211,11 +228,6 @@ class FiniteSpace:
     @property
     def coords(self) -> np.ndarray | None:
         return self._coords
-
-    @property
-    def metric(self) -> np.ndarray | None:
-        """The stored metric matrix; None for a line or discrete space."""
-        return self._matrix
 
     @property
     def row_width(self) -> int:
@@ -409,7 +421,7 @@ class ProbabilityMeasure:
             with np.errstate(divide="ignore"):
                 lw = np.log(arr)
         else:
-            lw = np.array(log_weights, dtype=float)
+            lw = _as_float_array(log_weights, "log_weights", "log_weights length mismatch")
             if len(lw) != len(arr):
                 raise ValidationError("log_weights length mismatch")
             if not (lw < np.inf).all():  # nan fails too; -inf is a zero weight
@@ -456,8 +468,8 @@ class RateFunction:
     __slots__ = ("values", "space")
 
     def __init__(self, values, space: FiniteSpace):
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 1 or len(arr) != len(space):
+        arr = _as_float_array(values, "rate", "rate vector length must match the space")
+        if len(arr) != len(space):
             raise ValidationError("rate vector length must match the space")
         if np.any(np.isnan(arr)) or np.any(arr < 0):
             raise ValidationError("rate entries must be in [0, inf]")
@@ -483,32 +495,13 @@ class RateFunction:
         return np.isfinite(self.values)
 
 
-class DecreasingSequence:
-    """Validated container for F_1 >= F_2 >= ... >= 0 aiming at zero.
+def validate_decreasing(seq) -> tuple:
+    """The terms of seq as a tuple, once they are nonnegative and nonincreasing.
 
-    Build through validate_decreasing, which orders whole rows, so a
-    half-line function's tail column must decrease too.  residual is the
-    sup-norm of the last term over the points only (a declared tail value
-    is deliberately not folded in: the sigma check reads it through the
-    functional itself).
-    """
-
-    __slots__ = ("terms", "residual")
-
-    def __init__(self, terms, residual: float):
-        self.terms = tuple(terms)
-        self.residual = float(residual)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def validate_decreasing(seq) -> DecreasingSequence:
-    """Check a list of functions is pointwise nonincreasing and nonnegative.
-
-    Raises NotMonotone with the first violating term index and point label
-    ("tail" for a tail column), or NegativeTerm; otherwise returns the
-    sequence with its residual.
+    Whole rows are ordered, so a half-line function's tail column must
+    decrease too.  Raises NotMonotone with the first violating term index
+    and point label ("tail" for a tail column), or NegativeTerm.  The sigma
+    check gates the last term at 1e-6 over its points only.
     """
     terms = list(seq)
     if not terms:
@@ -524,5 +517,4 @@ def validate_decreasing(seq) -> DecreasingSequence:
             i = int(bad[0])
             # a row column past the points is a tail column
             raise NotMonotone(k, space.point_ids[i] if i < len(space) else "tail")
-    residual = float(np.max(np.abs(terms[-1].values)))
-    return DecreasingSequence(terms, residual)
+    return tuple(terms)

@@ -18,6 +18,19 @@ from vflab import (
 from vflab.ldp_lab import REFERENCE_GRID
 
 
+# Binomial(n, 1/2)/n on {k/n} at n = 1, 2, 4 as a measure-sequence
+# document: cramer_sequence(0.5, [1, 2, 4]), whose weights are all exact
+# in binary, so a reader must give them back bit for bit
+HALF_MEANS = {
+    "description": "bernoulli(p=0.5) empirical means",
+    "entries": [
+        {"n": 1, "points": [0.0, 1.0], "weights": [0.5, 0.5]},
+        {"n": 2, "points": [0.0, 0.5, 1.0], "weights": [0.25, 0.5, 0.25]},
+        {"n": 4, "points": [0.0, 0.25, 0.5, 0.75, 1.0], "weights": [0.0625, 0.25, 0.375, 0.25, 0.0625]},
+    ],
+}
+
+
 @pytest.fixture
 def pair_space():
     return FiniteSpace.default(2)

@@ -241,7 +241,11 @@ class TestSigmaContinuity:
     def test_raw_term_list_accepted(self):
         L = log_integral(ProbabilityMeasure([0.5, 0.5]))
         terms = [L.space.constant_function(1.0).scaled(0.5**k) for k in range(25)]
-        assert check_sigma_continuity(L, terms).violations == 0
+        want = check_sigma_continuity(L, vanishing_sequence(L.space))
+        for seq in (terms, tuple(terms), (t for t in terms)):
+            report = check_sigma_continuity(L, seq)
+            assert report.violations == 0
+            assert report == want
 
     def test_non_vanishing_sequence_refused(self):
         L = log_integral(ProbabilityMeasure([0.5, 0.5]))
@@ -257,11 +261,12 @@ class TestSigmaContinuity:
 
     def test_default_sequences_vanish(self):
         fs = vanishing_sequence(FiniteSpace.default(4))
-        assert fs.residual == 0.5**24
+        assert isinstance(fs, tuple) and len(fs) == 25
+        assert np.max(np.abs(fs[-1].values)) == 0.5**24
         td = vanishing_sequence(TailDomain())
-        assert td.residual <= 1e-6
+        assert np.max(np.abs(td[-1].values)) <= 1e-6
         # the declared tails never drop: that is the whole point
-        assert all(t.tail_value == 1.0 for t in td.terms)
+        assert all(t.tail_value == 1.0 for t in td)
 
 
 class TestConstPreservingPrecondition:
@@ -281,6 +286,27 @@ class TestConstPreservingPrecondition:
         L = sup_form(RateFunction([0.0, 1.0], FiniteSpace.default(2)), L0=2.0)
         with pytest.raises(PreconditionFailed):
             check_const_preserving_implies_translation(L)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 50, 10**40])
+    def test_probe_reads_a_child_stream(self, seed):
+        from vflab.functionals import FunctionalHandle
+
+        probed = []
+
+        def rows(V):
+            if V.ndim == 1:  # evaluate on one constant function
+                probed.append(V[0])
+            return V.max(-1)
+
+        L = FunctionalHandle("max", FiniteSpace.default(5), rows=rows, claims_convex=True)
+        probed.clear()  # construction evaluates the zero row
+        assert check_const_preserving_implies_translation(L, trials=5, seed=seed).violations == 0
+        child = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        drawn = child.uniform(-10.0, 10.0, 5)
+        assert probed == [0.0, 1.0, -1.0, *drawn]
+        # trial 0's F is the first five draws of default_rng(seed), scaled to [-5, 5]
+        trial0_F = np.random.default_rng(seed).uniform(-5.0, 5.0, 5)
+        assert not np.any(drawn == 2 * trial0_F)
 
 
 def test_trials_must_be_positive():

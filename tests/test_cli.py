@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import HALF_MEANS
 
 from vflab import ldp_lab
 from vflab.cli import run
@@ -260,15 +261,13 @@ class TestCramerAndTightness:
         assert [d["n"] for d in doc["diameters"]] == [4, 16, 64]
 
     def test_tightness_from_file(self, tmp_path, capsys):
-        from vflab import cramer_sequence
-        from vflab.serialize import encode_measure_sequence
-
-        seq_file = write(tmp_path, "seq.json", encode_measure_sequence(cramer_sequence(0.5, [2, 4])))
+        seq_file = write(tmp_path, "seq.json", HALF_MEANS)
         code, out, _ = run_cli(
             capsys, "tightness", "--measure", seq_file, "--level", "1.0", "--format", "csv"
         )
         assert code == 0
-        assert out.splitlines()[0] == "n,diameter"
+        # every atom's rate, log(2) at most, is within the level
+        assert out.splitlines() == ["n,diameter", "1,1.0", "2,1.0", "4,1.0"]
 
     def test_tightness_needs_a_source(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--level", "0.5")
@@ -277,10 +276,7 @@ class TestCramerAndTightness:
 
     @pytest.mark.parametrize("extra", [["--p", "0.5"], ["--schedule", "4,16"]], ids=["p", "schedule"])
     def test_tightness_refuses_flags_it_would_ignore(self, tmp_path, capsys, extra):
-        from vflab import cramer_sequence
-        from vflab.serialize import encode_measure_sequence
-
-        seq_file = write(tmp_path, "seq.json", encode_measure_sequence(cramer_sequence(0.5, [2, 4])))
+        seq_file = write(tmp_path, "seq.json", HALF_MEANS)
         code, out, err = run_cli(capsys, "tightness", "--measure", seq_file, "--level", "1.0", *extra)
         assert code == 2 and out == ""
         assert err.count("\n") == 1

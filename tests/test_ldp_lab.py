@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import HALF_MEANS
 
 from vflab import (
     FiniteSpace,
@@ -32,7 +33,6 @@ from vflab.errors import (
     ValidationError,
 )
 from vflab.ldp_lab import REFERENCE_GRID
-from vflab.serialize import dumps, encode_measure_sequence, measure_sequence_csv
 
 LOG_HALF_1PE = 0.6201145069582775  # log((1 + e)/2)
 I_QUARTER = 0.13081203594113697  # x log 2x + (1-x) log 2(1-x) at x = 1/4
@@ -125,6 +125,42 @@ class TestCramerPieces:
         for bad in (True, "0.3", None, math.nan):
             with pytest.raises(InvalidP, match=re.escape(f"p must lie strictly between 0 and 1, got {bad!r}")):
                 take(bad)
+
+    @pytest.mark.parametrize(
+        "take",
+        [
+            lambda n: ldp_term(ProbabilityMeasure([0.25, 0.75]), n),
+            lambda n: binomial_weights(n, 0.3),
+            lambda n: cramer_sequence(0.3, [n]),
+        ],
+        ids=["ldp_term", "binomial_weights", "cramer_sequence"],
+    )
+    def test_one_check_of_n(self, take):
+        for bad in (2.7, 2.5, True, "3", None, math.nan, 0, -2, 0.0):
+            with pytest.raises(ValidationError, match=r"^n must be a positive integer$"):
+                take(bad)
+        for huge in (math.inf, 10**400):
+            with pytest.raises(ValidationError, match=r"^n is too large for a float$"):
+                take(huge)
+        # numpy integers and integral floats are n itself
+        want = take(3)
+        for good in (np.int64(3), 3.0, np.float32(3.0)):
+            got = take(good)
+            if isinstance(want, tuple):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            elif isinstance(want, MeasureSequence):
+                assert type(got.entries[0].n) is int and got == want
+            else:
+                assert got.name == want.name == "ldp_term(n=3)"
+
+    def test_every_schedule_entry_is_checked_as_n(self):
+        for schedule in ([2.5, 4], [math.nan, 4], [2, 3.5], ["3", 4], [None, 4], [1, 2**1100]):
+            with pytest.raises(ValidationError, match="^n "):
+                cramer_sequence(0.3, schedule)
+        # an order fault is still reported before a bad n
+        for schedule in ([4, 0], [0, 0], [4, 2.5]):
+            with pytest.raises(InvariantViolation, match="strictly increasing"):
+                cramer_sequence(0.3, schedule)
 
     def test_rate_edges_and_zero(self):
         I = cramer_rate(0.5)
@@ -342,9 +378,10 @@ class TestIngest:
     def test_json_round_trip_is_bit_exact(self, tmp_path):
         seq = cramer_sequence(0.5, [1, 2, 4])
         path = tmp_path / "seq.json"
-        path.write_text(dumps(encode_measure_sequence(seq)))
+        path.write_text(json.dumps(HALF_MEANS))
         got = ingest_sequence(path)
         assert got.description == seq.description
+        assert len(got) == len(seq)
         for a, b in zip(got.entries, seq.entries):
             assert a.n == b.n
             assert np.array_equal(a.space.coords, b.space.coords)
@@ -354,11 +391,13 @@ class TestIngest:
     def test_csv_round_trip(self, tmp_path):
         seq = cramer_sequence(0.25, [1, 2])
         path = tmp_path / "quarter_means.csv"
-        path.write_text(measure_sequence_csv(seq))
+        path.write_text("n,point,weight\n1,0.0,0.75\n1,1.0,0.25\n2,0.0,0.5625\n2,0.5,0.375\n2,1.0,0.0625\n")
         got = ingest_sequence(path)
         assert got.description == "quarter_means"  # stem stands in for the label
+        assert len(got) == len(seq)
         for a, b in zip(got.entries, seq.entries):
             assert a.n == b.n
+            assert np.array_equal(a.space.coords, b.space.coords)
             assert np.array_equal(a.measure.weights, b.measure.weights)
 
     def _write(self, tmp_path, doc) -> str:

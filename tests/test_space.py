@@ -11,9 +11,17 @@ from hypothesis import strategies as st
 from vflab import (
     BoundedFunction,
     FiniteSpace,
+    GridFunction,
+    PitSchedule,
     ProbabilityMeasure,
     RateFunction,
+    check_sigma_continuity,
+    cramer_sequence,
+    log_integral,
     make_measure,
+    sublevel_set,
+    tail_limsup,
+    tightness_scan,
     validate_decreasing,
 )
 from vflab.errors import (
@@ -22,6 +30,7 @@ from vflab.errors import (
     NegativeWeight,
     NotMonotone,
     PointNotInSpace,
+    SequenceNotVanishing,
     SpaceMismatch,
     ValidationError,
 )
@@ -284,9 +293,9 @@ class TestRateFunction:
 class TestValidateDecreasing:
     def test_good_sequence(self):
         s = FiniteSpace.default(2)
-        seq = validate_decreasing([s.constant_function(2.0 ** -k) for k in range(10)])
-        assert len(seq) == 10
-        assert seq.residual == 2.0 ** -9
+        terms = [s.constant_function(2.0 ** -k) for k in range(10)]
+        seq = validate_decreasing(iter(terms))
+        assert seq == tuple(terms)
 
     def test_not_monotone_reports_first_violation(self):
         s = FiniteSpace.default(2)
@@ -308,9 +317,14 @@ class TestValidateDecreasing:
         assert exc.value.point == "tail"
 
     def test_residual_is_grid_only_for_tail_functions(self):
+        # the sigma check gates the last term over the points; the tail is read through L
         d = TailDomain([0.0, 1.0])
-        seq = validate_decreasing([d.function([1.0, 1.0], 1.0), d.function([0.25, 0.125], 1.0)])
-        assert seq.residual == 0.25
+        L = tail_limsup(d)
+        terms = [d.function([1.0, 1.0], 1.0), d.function([0.25, 0.125], 1.0)]
+        with pytest.raises(SequenceNotVanishing, match=r"^residual 0\.25 exceeds"):
+            check_sigma_continuity(L, terms)
+        terms[-1] = d.function([2.0**-21, 2.0**-22], 1.0)
+        assert check_sigma_continuity(L, terms).witness["residual"] == 2.0**-21
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError):
@@ -347,3 +361,50 @@ def test_import_loads_numpy_only():
     code = "import sys, vflab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _pair_rate():
+    return RateFunction([0.0, 1.0], FiniteSpace.default(2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FiniteSpace.default(2).function(["a", 1]), "values must be a 1-d vector of numbers"),
+        (lambda: FiniteSpace.default(2).function([[1], 2]), "values must be a 1-d vector of numbers"),
+        (lambda: ProbabilityMeasure(["a", 1]), "weights must be a 1-d vector of numbers"),
+        (lambda: ProbabilityMeasure([0.5, 0.5], ["a", 1]), "log_weights must be a 1-d vector of numbers"),
+        (lambda: ProbabilityMeasure([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]]), "log_weights length mismatch"),
+        (lambda: RateFunction(["a", 1], FiniteSpace.default(2)), "rate must be a 1-d vector of numbers"),
+        (lambda: log_integral(["a", 1]), "weights must be a 1-d vector of numbers"),
+        (lambda: GridFunction(["a", "b"], xs=[0, 1]), "ys must be a 1-d vector of numbers"),
+        (lambda: PitSchedule(("a",)), "depths must be positive and finite"),
+        (lambda: PitSchedule((1, None)), "depths must be positive and finite"),
+        (lambda: sublevel_set(_pair_rate(), "0.5"), "sublevel threshold must be positive"),
+        (lambda: tightness_scan(cramer_sequence(0.5, [2]), None), "tightness threshold must be positive"),
+        # refused before as well, with these same messages
+        (lambda: RateFunction([[0.0, 1.0]], FiniteSpace.default(2)), "rate vector length must match the space"),
+        (lambda: log_integral([[1.0, 1.0]]), "weights must be a finite 1-d vector"),
+        (lambda: FiniteSpace.default(2).function([[1.0, 2.0]]), "values must be a 1-d vector"),
+    ],
+    ids=[
+        "function_str",
+        "function_ragged",
+        "measure",
+        "log_weights",
+        "log_weights_2d",
+        "rate",
+        "log_integral",
+        "grid_function",
+        "pit_str",
+        "pit_none",
+        "sublevel_str",
+        "tightness_none",
+        "rate_2d",
+        "log_integral_2d",
+        "function_2d",
+    ],
+)
+def test_non_numbers_refused_at_the_boundary(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
