@@ -42,7 +42,10 @@ class PitSchedule:
     depths: tuple[float, ...] = None
 
     def __post_init__(self):
-        depths = self.depths if self.depths is not None else _DEFAULT_DEPTHS
+        try:
+            depths = tuple(self.depths if self.depths is not None else _DEFAULT_DEPTHS)
+        except TypeError:  # not iterable
+            raise ValidationError("depths must be positive and finite") from None
         if not all(isinstance(d, numbers.Real) for d in depths):
             raise ValidationError("depths must be positive and finite")
         depths = tuple(float(d) for d in depths)

@@ -9,7 +9,10 @@ Weight construction is hybrid.  Log weights come from log-gamma and are
 good deep into the tails; linear weights start at 1.0 at the mode, run
 the pmf ratio outward as cumulative products and are divided by their
 exactly rounded sum, which keeps the weight sum within a few ulp of 1 up
-to n = 2^16, where pure log-gamma exponentiation does not.
+to n = 2^16, where pure log-gamma exponentiation does not.  That sum is
+math.fsum's, bit for bit, at a fraction of its cost: an error-free
+extraction splits the weights into a few floats with the same exact sum,
+and fsum rounds those few.
 """
 
 from __future__ import annotations
@@ -101,7 +104,9 @@ def _valid_p(p) -> float:
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n."""
+    """log k! for k = 0..n; MemoryError, before anything is allocated, past numpy's largest array."""
+    if n + 1 > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"n = {n} is too large: n + 1 floats exceed numpy's largest array")
     return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
@@ -110,7 +115,9 @@ def binomial_weights(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (weights, log_weights) over k = 0..n.  The linear weights set
     1.0 at the mode, run the pmf ratio outward through both tails as
-    cumulative products and are divided by their exactly rounded sum.
+    cumulative products and are divided by their exactly rounded sum:
+    error-free extraction to a few parts with the same exact sum, then
+    math.fsum of the parts.
     """
     p = _valid_p(p)
     n = _positive_int(n)
@@ -137,7 +144,23 @@ def _binomial_weights(n: int, p: float, lf: np.ndarray) -> tuple[np.ndarray, np.
     w[k0 + 1 :] = np.cumprod((n - i) / (i + 1) * ratio)
     j = k[k0:0:-1]  # w[j - 1] / w[j] = j (1 - p) / ((n - j + 1) p)
     w[:k0] = np.cumprod(j / (n - j + 1) / ratio)[::-1]
-    return w / math.fsum(w), log_w
+    return w / _exact_sum(w), log_w
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x), bit for bit, for finite x far below the float maximum.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008): with sigma = 2^k >= (len + 2) max|x|,
+    q = (sigma + x) - sigma, x - q and sum(q) in any order are exact, so the parts keep
+    the exact sum of x and fsum rounds it to the same double."""
+    x = x[x != 0]
+    parts = []
+    while x.size:
+        sigma = math.ldexp(1.0, math.frexp(np.abs(x).max())[1] + (x.size + 1).bit_length())
+        q = (sigma + x) - sigma
+        parts.append(float(q.sum()))
+        x = (x - q)[x != q]
+    return math.fsum(parts)
 
 
 def cramer_grid_space(n: int) -> FiniteSpace:

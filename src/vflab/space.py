@@ -99,7 +99,9 @@ def _line_coords(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finite(x, name: str) -> float:
-    """float(x), refusing nan and +-inf."""
+    """float(x) for a real x, refusing bools, non-numbers, nan and +-inf."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {x!r}")
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")

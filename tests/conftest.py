@@ -30,6 +30,12 @@ HALF_MEANS = {
     ],
 }
 
+# Cramer schedule entries past numpy's largest float array (2**60 - 1 entries),
+# which must be refused before anything is allocated; 10**300 and 2**63 - 1
+# are past a C ssize_t as well
+HUGE_NS = [10**300, 2**63 - 1, 2**63 - 2, 2**62, 2**61 - 1]
+HUGE_IDS = ["10**300", "2**63-1", "2**63-2", "2**62", "2**61-1"]
+
 
 @pytest.fixture
 def pair_space():

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import HALF_MEANS
+from conftest import HALF_MEANS, HUGE_IDS, HUGE_NS
 
 from vflab import ldp_lab
 from vflab.cli import run
@@ -469,6 +469,18 @@ class TestErrorRecords:
         for argv in (
             ("cramer", "--p", "0.5", "--schedule", "1,2,2000000000", "--f", g),
             ("tightness", "--p", "0.5", "--schedule", "1,2,2000000000", "--level", "0.1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f'vflab: error kind=MemoryError detail="{detail}"\n'
+
+    @pytest.mark.parametrize("n", HUGE_NS, ids=HUGE_IDS)
+    def test_schedule_past_the_largest_array(self, tmp_path, capsys, n):
+        g = write(tmp_path, "grid.json", {"values": [0.0, 1.0], "xs": [0.0, 1.0]})
+        detail = f"n = {n} is too large: n + 1 floats exceed numpy's largest array"
+        for argv in (
+            ("cramer", "--p", "0.3", "--schedule", f"1,2,{n}", "--f", g),
+            ("tightness", "--p", "0.3", "--schedule", f"1,2,{n}", "--level", "0.1"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")

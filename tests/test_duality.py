@@ -45,6 +45,14 @@ class TestPitSchedule:
             with pytest.raises(ValidationError):
                 PitSchedule(bad)
 
+    @pytest.mark.parametrize("bad", [5, 2.0, object()])
+    def test_non_iterable_depths_refused(self, bad):
+        with pytest.raises(ValidationError, match="^depths must be positive and finite$"):
+            PitSchedule(bad)
+
+    def test_any_iterable_of_depths(self):
+        assert PitSchedule(2.0**k for k in range(3)).depths == (1.0, 2.0, 4.0)
+
 
 class TestDualRate:
     def test_log_integral_recovers_neg_log_weights(self):

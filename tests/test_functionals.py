@@ -133,6 +133,12 @@ class TestSupForm:
         with pytest.raises(ValidationError):
             sup_form(I, L0)
 
+    @pytest.mark.parametrize("L0", ["a", None, True])
+    def test_non_number_l0_refused(self, L0):
+        I = RateFunction([0.0, 1.0], FiniteSpace.default(2))
+        with pytest.raises(ValidationError, match=f"^L0 must be a real number, got {L0!r}$"):
+            sup_form(I, L0=L0)
+
     @given(
         st.lists(st.floats(-5, 5), min_size=4, max_size=4),
         st.lists(st.floats(-5, 5), min_size=4, max_size=4),
@@ -246,6 +252,9 @@ class TestTailDomain:
         d = TailDomain([0.0, 1.0])
         with pytest.raises(ValidationError):
             d.function([0.0, 0.0], np.inf)
+        for bad in (None, "a", False):
+            with pytest.raises(ValidationError, match=f"^tail value must be a real number, got {bad!r}$"):
+                d.function([0.0, 0.0], bad)
 
     def test_operations_touch_the_tail(self):
         d = TailDomain([0.0, 1.0])

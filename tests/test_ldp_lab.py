@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from conftest import HALF_MEANS
+from conftest import HALF_MEANS, HUGE_IDS, HUGE_NS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vflab import (
     FiniteSpace,
@@ -20,6 +22,7 @@ from vflab import (
     estimate_limit,
     ingest_sequence,
     kl_divergence,
+    ldp_lab,
     ldp_term,
     ldp_value,
     tightness_scan,
@@ -32,7 +35,7 @@ from vflab.errors import (
     ScheduleTooShort,
     ValidationError,
 )
-from vflab.ldp_lab import REFERENCE_GRID
+from vflab.ldp_lab import REFERENCE_GRID, _exact_sum
 
 LOG_HALF_1PE = 0.6201145069582775  # log((1 + e)/2)
 I_QUARTER = 0.13081203594113697  # x log 2x + (1-x) log 2(1-x) at x = 1/4
@@ -86,6 +89,83 @@ class TestBinomialWeights:
     def test_invalid_n(self):
         with pytest.raises(ValidationError):
             binomial_weights(0, 0.5)
+
+    @pytest.mark.parametrize("n", HUGE_NS, ids=HUGE_IDS)
+    @pytest.mark.parametrize(
+        "take",
+        [
+            lambda n: binomial_weights(n, 0.3),
+            lambda n: cramer_sequence(0.3, [n]),
+            lambda n: cramer_sequence(0.3, [1, 2, n]),
+        ],
+        ids=["binomial_weights", "cramer_sequence", "cramer_sequence_tail"],
+    )
+    def test_past_the_largest_array_refused_before_allocating(self, take, n):
+        # nothing can be allocated even if the refusal is gone: numpy raises first
+        detail = f"n = {n} is too large: n + 1 floats exceed numpy's largest array"
+        with pytest.raises(MemoryError, match=re.escape(detail)):
+            take(n)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-9, 1 - 1e-9, 0.123456789])
+    def test_weights_match_the_fsum_oracle_byte_for_byte(self, monkeypatch, p):
+        def weight_bytes():
+            seq = cramer_sequence(p, [1, 2, 3, 7, 16, 64, 100, 256, 1000, 1024, 4096, 16384, 65536])
+            arrays = [a for e in seq.entries for a in (e.measure.weights, e.measure.log_weights)]
+            arrays += [a for n in (1, 5, 999, 65536) for a in binomial_weights(n, p)]
+            return [a.tobytes() for a in arrays]
+
+        extracted = weight_bytes()
+        monkeypatch.setattr(ldp_lab, "_exact_sum", math.fsum)
+        assert weight_bytes() == extracted
+
+
+def _same_sum_bits(x):
+    got, want = _exact_sum(np.array(x, dtype=float)), math.fsum(x)
+    assert got.hex() == want.hex(), (x, got, want)
+
+
+# sign * m * 2**e with m in [1, 2) and e across -1074..900: from subnormal to 2**901
+_WIDE = st.builds(
+    lambda m, e, neg: math.ldexp(-m if neg else m, e),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-1074, 900),
+    st.booleans(),
+)
+_SUBNORMAL = st.integers(-(2**52) + 1, 2**52 - 1).map(lambda k: k * 5e-324)
+_TIES = st.sampled_from([1.0, -1.0, 2**-53, -(2**-53), 2**-106, -(2**-106), 5e-324, -5e-324, 2**-1022, 1.0 + 2**-52])
+
+
+class TestExactSum:
+    @given(
+        st.one_of(
+            st.lists(_WIDE, min_size=1, max_size=64),
+            st.lists(_SUBNORMAL, min_size=1, max_size=64),
+            st.lists(_TIES, min_size=1, max_size=12),
+        )
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_is_fsum_bit_for_bit(self, x):
+        _same_sum_bits(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1.0, 2**-53],  # a tie, to even: 1
+            [1.0 + 2**-52, 2**-53],  # a tie, to even: 1 + 2**-51
+            [1.0, 2**-53, 2**-106],  # a tie broken upward by a third part
+            [1.0, 2**-53, -(2**-106)],
+            [1.0, 2**-53, 5e-324],
+            [1.0, 2**-53, -5e-324],
+            [2**-53, 1.0, 5e-324, 2**-1022, -(2**-1022)],
+            [0.0, -0.0, 0.0],
+            [1.0, -1.0, 0.0],
+            [5e-324],
+            [2.0**900],
+            [1.0 - 2**-53] * 100_000,  # len enters sigma
+        ],
+    )
+    def test_tie_patterns(self, x):
+        _same_sum_bits(x)
 
 
 class TestCramerPieces:
@@ -235,6 +315,12 @@ class TestFiniteNRateEnvelope:
     def test_non_finite_x_refused(self, x):
         entry = cramer_sequence(0.5, [4]).entries[0]
         with pytest.raises(ValidationError, match="x must be finite"):
+            empirical_rate_at(entry, x)
+
+    @pytest.mark.parametrize("x", ["a", None, True, [0.5]])
+    def test_non_number_x_refused(self, x):
+        entry = cramer_sequence(0.5, [4]).entries[0]
+        with pytest.raises(ValidationError, match=re.escape(f"x must be a real number, got {x!r}")):
             empirical_rate_at(entry, x)
 
 
