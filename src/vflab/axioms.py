@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import PreconditionFailed, SequenceNotVanishing, ValidationError
 from .serialize import decode_function, encode_function
-from .space import _row_blocks, validate_decreasing
+from .space import _finite, _row_blocks, validate_decreasing
 
 DEFAULT_TOL = 1e-9
 _RESIDUAL_GATE = 1e-6
@@ -71,8 +71,7 @@ def _validate_run(trials: int, seed: int, tol: float) -> None:
         raise ValidationError("trials must be at least 1")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not np.isfinite(tol):
-        raise ValidationError(f"tolerance must be finite, got {tol!r}")
+    _finite(tol, "tolerance")
     if tol < 0:
         raise ValidationError(f"tolerance must be nonnegative, got {tol!r}")
 

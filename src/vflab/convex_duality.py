@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -117,7 +118,7 @@ def _ascend(value, descent, retract, x, tol: float):
     less the value's rounding error, so a step whose gain is below float
     resolution is still taken and the residual decides.
     """
-    if not 0 < tol < math.inf:  # refuses nan as well
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:  # nan too
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     val = value(x)
     last = None  # (step, gradient) of the last step
@@ -263,7 +264,8 @@ def kl_functional(nu: ProbabilityMeasure) -> MeasureFunctional:
     log_nu = nu.log_weights
 
     def grad(weights: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
+        # nan where both weights are 0: recover_L_from_J ascends on the support then
+        with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(weights) - log_nu + 1.0
 
     return MeasureFunctional(
@@ -331,17 +333,28 @@ def recover_L_from_J(
     mu(F) - J(mu).  The stationarity residual is the KKT condition for
     the simplex: centered gradient components vanish on the support and
     are nonpositive off it; the ascent stops once they are within tol.
-    Raises InfeasibleJ when no probed start has finite J, and
-    SpaceMismatch when J's feasible start and F differ in length; a
-    non-finite L0 or a tol not positive and finite is a ValidationError.
+    When no interior start has finite J, it ascends on the support of J's
+    feasible start, whose zeros stay zero.  Raises InfeasibleJ when no
+    probed start has finite J, and SpaceMismatch when J's feasible start
+    and F differ in length; a non-finite L0 or a tol not positive and
+    finite is a ValidationError.
     """
     L0 = _finite(L0, "L0")
     F_vals = F.values
     m = len(F_vals)
+    on = slice(None)  # the coordinates the ascent moves: all, or the start's support
+
+    def lift(w: np.ndarray) -> np.ndarray:  # the measure's weights, zero off the support
+        if len(w) == m:
+            return w
+        full = np.zeros(m)
+        full[on] = w
+        return full
 
     def objective(w: np.ndarray) -> float:
         if np.any(w < 0):
             return -math.inf
+        w = lift(w)
         j = float(J(ProbabilityMeasure(w / w.sum())))
         return float(w @ F_vals) - j if np.isfinite(j) else -math.inf
 
@@ -361,6 +374,12 @@ def recover_L_from_J(
         if objective(interior) > -math.inf:
             weights = interior
             break
+    if weights is None and start_hint is not None:
+        # every interior start charges a point where J is infinite: ascend on the start's support
+        on = start_hint.weights > 0
+        weights = start_hint.weights[on] / start_hint.weights[on].sum()
+        if objective(weights) == -math.inf:
+            weights = None
     if weights is None:
         raise InfeasibleJ("no probed measure has finite J")
 
@@ -368,7 +387,7 @@ def recover_L_from_J(
 
     def descent(w: np.ndarray):
         if grad_hook is not None:
-            g = F_vals - grad_hook(w)
+            g = (F_vals - grad_hook(lift(w)))[on]
         else:
             g = _tangent_objective_grad(objective, w, objective(w))
         centered = g - float(w @ g)
@@ -393,7 +412,7 @@ def recover_L_from_J(
             sval = objective(snapped)
             if np.isfinite(sval):
                 weights, val = snapped, sval
-    return ConjugateReport(L0 + val, ProbabilityMeasure(weights), iterations, reason)
+    return ConjugateReport(L0 + val, ProbabilityMeasure(lift(weights)), iterations, reason)
 
 
 __all__ = [

@@ -17,7 +17,7 @@ is the smallest class on which the limsup is computable from finite data.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,18 +117,13 @@ class TailDomain(FiniteSpace):
 
     __slots__ = ("grid",)
 
-    def __init__(self, grid_coords=None):
+    def __init__(self, grid_coords: Sequence[float] | None = None):
         grid = FiniteSpace.from_line(DEFAULT_TAIL_GRID if grid_coords is None else grid_coords)
         coords = grid.coords
         if np.any(np.diff(coords) <= 0) or coords[0] < 0:
             raise ValidationError("tail grid must be increasing and nonnegative")
-        self._init_derived(len(grid), coords)
+        self._setup(len(grid), coords)
         self.grid = grid
-
-    @property
-    def point_ids(self) -> tuple[str, ...]:
-        """The grid's labels: the domain derives none of its own."""
-        return self.grid.point_ids
 
     @property
     def row_width(self) -> int:
@@ -183,7 +178,7 @@ def _coerce_measure(nu, space):
             raise ValidationError("weights must be a finite 1-d vector")
         if np.any(arr < 0):
             raise ValidationError("weights must be nonnegative")
-        if arr.sum() == 0.0:
+        if not arr.any():
             raise ValidationError("weights must carry positive mass")
         with np.errstate(divide="ignore"):
             log_weights = np.log(arr)

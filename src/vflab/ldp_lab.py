@@ -195,7 +195,8 @@ def cramer_sequence(p: float, schedule) -> MeasureSequence:
 def cramer_rate(p: float):
     """The analytic rate x log(x/p) + (1-x) log((1-x)/(1-p)), vectorized.
 
-    Finite at the endpoints: I(0) = -log(1-p), I(1) = -log(p).
+    Finite at the endpoints: I(0) = -log(1-p), I(1) = -log(p); +inf
+    outside [0, 1], where no empirical mean lies, and nan at nan.
     """
     p = _valid_p(p)
 
@@ -204,7 +205,7 @@ def cramer_rate(p: float):
         with np.errstate(divide="ignore", invalid="ignore"):
             left = np.where(x > 0, x * (np.log(x) - math.log(p)), 0.0)
             right = np.where(x < 1, (1 - x) * (np.log1p(-x) - math.log1p(-p)), 0.0)
-        return left + right
+        return np.where((0 <= x) & (x <= 1), left + right, np.where(np.isnan(x), math.nan, math.inf))[()]
 
     return rate
 

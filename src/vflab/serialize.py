@@ -36,6 +36,7 @@ from .space import (
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
+    _mass,
     make_measure,
 )
 
@@ -183,7 +184,7 @@ def decode_function(doc, space):
 
 def _measure(w: np.ndarray) -> ProbabilityMeasure:
     # sums within 1e-12 of 1 keep their bits; others are normalized with the divisor recorded
-    if abs(float(w.sum()) - 1.0) <= STRUCTURAL_TOL:
+    if abs(_mass(w) - 1.0) <= STRUCTURAL_TOL:
         return ProbabilityMeasure(w)
     return make_measure(w)
 
@@ -290,7 +291,7 @@ def _sequence_entry(n, points: list, weights: list, where: str) -> SequenceEntry
         raise ParseError(f"{where}: points and weights must be nonempty and equal length", field="weights")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ParseError(f"{where}: weights must be finite and nonnegative", field="weights")
-    total = float(w.sum())
+    total = _mass(w)
     if abs(total - 1.0) > INGEST_RENORM_TOL:
         raise InvariantViolation(
             f"{where}: weights sum to {total!r}, outside the {INGEST_RENORM_TOL} ingest tolerance"

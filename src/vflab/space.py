@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from typing import Sequence
 
@@ -92,12 +91,6 @@ def _as_float_array(values, name: str, shape_error: str | None = None) -> np.nda
     return arr
 
 
-def _line_coords(coords: np.ndarray, n: int) -> np.ndarray:
-    if len(coords) != n or not np.all(np.isfinite(coords)):
-        raise ValidationError("coords must be finite and match the label count")
-    return _freeze(coords)
-
-
 def _finite(x, name: str) -> float:
     """float(x) for a real x, refusing bools, non-numbers, nan and +-inf."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
@@ -119,20 +112,6 @@ def _positive_int(n) -> int:
     return int(n)
 
 
-def _distinct_labels(coords: np.ndarray) -> bool:
-    """Whether repr gives every coordinate a label of its own.
-
-    repr tells apart any two floats that differ in a bit (0.0 and -0.0
-    too) and prints every nan as "nan", so this compares bit patterns
-    with all nans made one.
-    """
-    if np.all(coords[1:] > coords[:-1]):  # strictly increasing: every grid
-        return True
-    # all ones is a nan pattern, so no number shares it
-    bits = np.where(np.isnan(coords), -1, coords.view(np.int64))
-    return len(np.unique(bits)) == len(coords)
-
-
 class FiniteSpace:
     """A finite metric space with opaque point labels.
 
@@ -141,31 +120,23 @@ class FiniteSpace:
     last two are computed on demand, so grids with 2^16 + 1 points and
     large default spaces never materialize a matrix.
 
-    Labels are given, or derived: from_line without labels and default
-    store only their coordinates or size, and build point_ids (repr of
-    each coordinate, or x1..xn) and the label index on first use.  Two
-    spaces are equal when they have the same type, coordinates, metric
-    and labels; between two derived spaces the labels are compared
-    through what they derive from (the coordinates' bits, or the size),
-    and against a given-label space through the labels themselves.
+    One rule for the labels: they are given, or derived on first use,
+    repr of each coordinate on a line and x1..xn otherwise; every
+    constructor runs _setup, which checks the size and leaves derived
+    labels unbuilt until point_ids is read.  Derived line labels must
+    come out unique, which for finite coordinates means distinct bits
+    (0.0 and -0.0 are two points).  Two spaces are equal when they have
+    the same type, size, coordinates, metric and point_ids; equal spaces
+    hash alike without building labels.
     """
 
     __slots__ = ("_size", "_ids", "_index", "_matrix", "_coords")
 
-    def __init__(self, point_ids: Sequence[str], metric=None, *, _coords=None):
+    def __init__(self, point_ids: Sequence[str], metric=None):
         ids = tuple(str(p) for p in point_ids)
-        index = {p: i for i, p in enumerate(ids)}
-        if len(ids) < 1:
-            raise ValidationError("a space needs at least one point")
-        if len(index) != len(ids):
-            raise ValidationError("point labels must be unique")
         n = len(ids)
-        self._size, self._ids, self._index = n, ids, index
-
-        self._coords = self._matrix = None  # neither: the discrete metric
-        if _coords is not None:
-            self._coords = _line_coords(_as_float_array(_coords, "coords"), n)
-        elif metric is not None:
+        self._setup(n, ids=ids)
+        if metric is not None:
             try:
                 m = np.array(metric, dtype=float)
             except (TypeError, ValueError):  # ragged rows or entries that are not numbers
@@ -186,34 +157,41 @@ class FiniteSpace:
                     raise ValidationError("metric violates the triangle inequality")
             self._matrix = _freeze(m)
 
-    def _init_derived(self, size: int, coords: np.ndarray | None) -> None:
-        """Set up a space whose labels are built on first use."""
+    def _setup(self, size: int, coords: np.ndarray | None = None, ids: tuple | None = None) -> None:
+        """The one setup step of every constructor: checks the size, then the given
+        labels ids or the coordinates, and builds no labels."""
         if size < 1:
             raise ValidationError("a space needs at least one point")
-        self._size, self._coords = size, coords
-        self._ids = self._index = self._matrix = None
+        if ids is not None and len(set(ids)) != size:
+            raise ValidationError("point labels must be unique")
+        if coords is not None:
+            if len(coords) != size or not np.all(np.isfinite(coords)):
+                raise ValidationError("coords must be finite and match the label count")
+            # finite floats have distinct reprs exactly when their bits differ;
+            # a strictly increasing grid needs no sort to show it
+            if ids is None and not np.all(coords[1:] > coords[:-1]):
+                if len(np.unique(coords.view(np.int64))) != size:
+                    raise ValidationError("point labels must be unique")
+            coords = _freeze(coords)
+        self._size, self._coords, self._ids = size, coords, ids
+        self._index = self._matrix = None
 
     @classmethod
     def from_line(cls, coords, point_ids: Sequence[str] | None = None) -> "FiniteSpace":
-        """Space of points on the real line; metric is |x - y|, never materialized.
-
-        Without point_ids the labels are repr of each coordinate, derived
-        on first use; they must still come out unique.
-        """
+        """Points on the real line, metric |x - y| (never materialized), labels repr(x) unless given."""
         arr = _as_float_array(coords, "coords")
-        if point_ids is not None:
-            return cls(point_ids, _coords=arr)
-        if not _distinct_labels(arr):
-            raise ValidationError("point labels must be unique")
+        ids = None if point_ids is None else tuple(str(p) for p in point_ids)
         space = cls.__new__(cls)
-        space._init_derived(len(arr), _line_coords(arr, len(arr)))
+        space._setup(len(arr) if ids is None else len(ids), arr, ids)
         return space
 
     @classmethod
     def default(cls, n: int) -> "FiniteSpace":
         """Discrete space with labels x1..xn, used when callers hand in bare weights."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValidationError(f"a space size must be an integer, got {n!r}")
         space = cls.__new__(cls)
-        space._init_derived(operator.index(n), None)
+        space._setup(int(n))
         return space
 
     @property
@@ -244,22 +222,14 @@ class FiniteSpace:
             return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        # only what is stored; np.array_equal(None, x) holds for x None alone
+        # np.array_equal(None, x) holds for x None alone
         return (
             type(self) is type(other)
             and self._size == other._size
             and np.array_equal(self._coords, other._coords)
             and np.array_equal(self._matrix, other._matrix)
-            and self._same_labels(other)
+            and self.point_ids == other.point_ids
         )
-
-    def _same_labels(self, other: "FiniteSpace") -> bool:
-        if self._ids is None and other._ids is None:
-            # derived on both sides; the coordinates already compare equal
-            # as numbers, and their bits tell 0.0 from -0.0 as repr does
-            c = self._coords
-            return c is None or np.array_equal(c.view(np.int64), other._coords.view(np.int64))
-        return self.point_ids == other.point_ids
 
     def __hash__(self):
         # equal spaces share their type and size; their labels need not be built
@@ -413,7 +383,7 @@ class ProbabilityMeasure:
             raise ValidationError("weights must be finite")
         if np.any(arr < 0):
             raise NegativeWeight("weights must be nonnegative")
-        total = float(arr.sum())
+        total = _mass(arr)
         if abs(total - 1.0) > STRUCTURAL_TOL:
             raise ValidationError(
                 f"weights must sum to 1 within {STRUCTURAL_TOL}; got {total!r}"
@@ -446,18 +416,31 @@ class ProbabilityMeasure:
         return hash(self.weights.tobytes())
 
 
-def make_measure(weights) -> ProbabilityMeasure:
-    """Normalize raw nonnegative weights into a ProbabilityMeasure.
+def _mass(arr: np.ndarray) -> float:
+    """arr.sum() as a float: inf, without a warning, past the float range."""
+    with np.errstate(over="ignore"):
+        return float(arr.sum())
 
-    The divisor is recorded on the result as .normalization.
+
+def make_measure(weights) -> ProbabilityMeasure:
+    """Normalize raw finite nonnegative weights into a ProbabilityMeasure.
+
+    The divisor is recorded on the result as .normalization.  Weights
+    whose sum overflows are divided by their max first; the divisor is
+    then inf.
     """
     arr = _as_float_array(weights, "weights")
     if np.any(arr < 0):
         raise NegativeWeight("weights must be nonnegative")
-    total = float(arr.sum())
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("weights must be finite")
+    total = _mass(arr)
     if total == 0.0:
         raise AllZero("cannot normalize an all-zero weight vector")
-    return ProbabilityMeasure(arr / total, normalization=total)
+    scale = float(arr.max()) if total == math.inf else 1.0  # an overflowing sum is taken over the max
+    arr = arr / scale
+    total = float(arr.sum())
+    return ProbabilityMeasure(arr / total, normalization=scale * total)
 
 
 class RateFunction:

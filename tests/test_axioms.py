@@ -324,7 +324,10 @@ def test_non_integer_trials_refused(check, trials):
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("bad", [{"seed": -5}, {"seed": 1.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0}])
+@pytest.mark.parametrize(
+    "bad",
+    [{"seed": -5}, {"seed": 1.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0}, {"tol": "a"}, {"tol": None}, {"tol": True}],
+)
 def test_bad_seed_or_tolerance_refused_before_any_draw(check, bad):
     L = log_integral(ProbabilityMeasure([0.5, 0.5]))
     with pytest.raises(ValidationError):
@@ -335,6 +338,8 @@ def test_sigma_refuses_a_nan_tolerance():
     L = log_integral(ProbabilityMeasure([0.5, 0.5]))
     with pytest.raises(ValidationError):
         check_sigma_continuity(L, vanishing_sequence(L.space), tol=math.nan)
+    with pytest.raises(ValidationError, match="tolerance must be a real number, got 'a'"):
+        check_sigma_continuity(L, vanishing_sequence(L.space), tol="a")
 
 
 def test_negative_tolerance_refused_and_zero_accepted():

@@ -63,7 +63,22 @@ class TestEval:
         assert err.startswith(f'vflab: error kind=usage detail="cannot write {target}: ')
 
 
+    def test_weights_past_the_float_range_are_normalized(self, tmp_path, capsys):
+        f = write(tmp_path, "L.json", {"kind": "log_integral", "measure": [1e308, 1e308]})
+        g = write(tmp_path, "F.json", {"values": [1.0, 0.0]})
+        code, out, err = run_cli(capsys, "eval", "--functional", f, "--f", g)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(LOG_HALF_1PE, abs=1e-12)
+
+
 class TestDualAndReconstruct:
+    def test_dual_csv_labels_from_unsorted_coords(self, tmp_path, capsys):
+        # a rate file without points: the labels are the coordinates' reprs, built for the report
+        f = write(tmp_path, "S.json", {"kind": "sup_form", "rate": [0.5, 0.0, 1.0], "coords": [2.0, -1.0, -0.0]})
+        code, out, err = run_cli(capsys, "dual", "--functional", f, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [row.split(",")[0] for row in out.splitlines()] == ["point", "2.0", "-1.0", "-0.0"]
+
     def test_dual_report_shape(self, tmp_path, capsys):
         f = write(tmp_path, "L.json", SUP3)
         code, out, _ = run_cli(capsys, "dual", "--functional", f)
@@ -108,6 +123,15 @@ class TestAscentCommands:
         code, out, err = run_cli(capsys, "eval", "--functional", f, "--f", g)
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == 1e308
+
+    def test_recover_on_a_measure_with_a_zero_weight(self, tmp_path, capsys):
+        m = write(tmp_path, "nu.json", [0.5, 0.5, 0])
+        g = write(tmp_path, "F.json", {"values": [1, 0, 2]})
+        code, out, err = run_cli(capsys, "recover", "--measure", m, "--f", g)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["value"] == pytest.approx(LOG_HALF_1PE, abs=1e-12)
+        assert doc["converged"] is True and doc["maximizer"][2] == 0.0
 
     def test_conjugate_matches_kl(self, tmp_path, capsys):
         f = write(tmp_path, "L.json", UNIFORM2)
@@ -268,6 +292,12 @@ class TestCramerAndTightness:
         assert code == 0
         # every atom's rate, log(2) at most, is within the level
         assert out.splitlines() == ["n,diameter", "1,1.0", "2,1.0", "4,1.0"]
+
+    def test_tightness_refuses_an_entry_whose_sum_overflows(self, tmp_path, capsys):
+        doc = {"description": "big", "entries": [{"n": 1, "points": [0.0, 1.0], "weights": [1e308, 1e308]}]}
+        code, out, err = run_cli(capsys, "tightness", "--measure", write(tmp_path, "seq.json", doc), "--level", "1.0")
+        assert (code, out) == (2, "")
+        assert err == 'vflab: error kind=InvariantViolation detail="entries[0]: weights sum to inf, outside the 1e-06 ingest tolerance"\n'
 
     def test_tightness_needs_a_source(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--level", "0.5")

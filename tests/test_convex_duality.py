@@ -470,10 +470,26 @@ class TestRecover:
         F = FiniteSpace.default(3).function([0.0, 0.0, 0.0])
         with pytest.raises(InfeasibleJ):
             recover_L_from_J(J, 0.0, F)
+        # the support of a feasible start is probed too
+        J = MeasureFunctional("wall", lambda mu: math.inf, feasible_start=ProbabilityMeasure([0.5, 0.5, 0.0]))
+        with pytest.raises(InfeasibleJ):
+            recover_L_from_J(J, 0.0, F)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_reference_measure_with_a_zero_weight(self, exact):
+        # every interior start puts mass where KL is infinite; the ascent runs on nu's support
+        nu = ProbabilityMeasure([0.5, 0.5, 0.0])
+        F = FiniteSpace.default(3).function([1.0, 0.0, 2.0])
+        report = recover_L_from_J(kl_functional(nu), 0.0, F, exact_gradient=exact)
+        assert report.converged
+        assert report.value == pytest.approx(math.log(0.5 * math.e + 0.5), abs=1e-12)
+        w = report.maximizer.weights
+        assert w[2] == 0.0
+        assert tv(w[:2], np.array([math.e, 1.0]) / (math.e + 1.0)) <= 1e-9
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "a", None, True])
     def test_both_ascents_refuse_a_bad_tol(self, tol):
         nu = ProbabilityMeasure([0.5, 0.5])
         F = FiniteSpace.default(2).function([1.0, 0.0])

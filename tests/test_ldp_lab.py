@@ -257,6 +257,21 @@ class TestCramerPieces:
             )
             assert I(x) == pytest.approx(want, abs=1e-14)
 
+    def test_rate_outside_the_unit_interval(self):
+        # no empirical mean lies outside [0, 1]; nan stays nan
+        I = cramer_rate(0.3)
+        assert I(-0.5) == math.inf and I(1.5) == math.inf and math.isnan(I(math.nan))
+        vals = I(np.array([-np.inf, -1e-300, 0.0, 0.3, 1.0, 1.0 + 2**-52, np.inf, np.nan]))
+        assert vals[[0, 1, 5, 6]].tolist() == [math.inf] * 4 and math.isnan(vals[7])
+        assert vals[[2, 3, 4]].tolist() == [I(0.0), 0.0, I(1.0)]
+        assert I(0.0) == pytest.approx(-math.log(0.7), abs=1e-15) and I(1.0) == pytest.approx(-math.log(0.3), abs=1e-15)
+
+    def test_sequence_spaces_build_no_labels(self):
+        seq = cramer_sequence(0.3, [256, 4096, 65536])
+        estimate_limit(seq, GridFunction([0.0, 1.0], [0.0, 1.0]))
+        tightness_scan(seq, 0.1)
+        assert all(e.space._ids is None and e.space._index is None for e in seq.entries)
+
     def test_rate_vectorized_and_symmetric(self):
         I = cramer_rate(0.5)
         xs = np.linspace(0.0, 1.0, 101)

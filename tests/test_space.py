@@ -23,6 +23,7 @@ from vflab import (
     tail_limsup,
     tightness_scan,
     validate_decreasing,
+    vanishing_sequence,
 )
 from vflab.errors import (
     AllZero,
@@ -112,9 +113,10 @@ class TestFiniteSpace:
         [
             ([0.5, 0.5], "point labels must be unique"),
             ([1.0, 0.5, 1.0], "point labels must be unique"),
-            ([math.nan, math.nan], "point labels must be unique"),
-            ([math.nan, -math.nan], "point labels must be unique"),
-            ([math.inf, math.inf], "point labels must be unique"),
+            # non-finite coordinates are refused before their labels are compared
+            ([math.nan, math.nan], "coords must be finite and match the label count"),
+            ([math.nan, -math.nan], "coords must be finite and match the label count"),
+            ([math.inf, math.inf], "coords must be finite and match the label count"),
             ([math.nan, 1.0], "coords must be finite and match the label count"),
             ([-math.inf, 1.0], "coords must be finite and match the label count"),
             ([], "a space needs at least one point"),
@@ -151,7 +153,7 @@ class TestFiniteSpace:
     def test_derived_labels_are_built_on_first_use(self):
         s = FiniteSpace.from_line(np.arange(9) / 8)
         assert s._ids is None and len(s) == 9
-        assert s == FiniteSpace.from_line(np.arange(9) / 8) and s._ids is None
+        assert hash(s) == hash(FiniteSpace.from_line(np.arange(9) / 8)) and s._ids is None
         assert s.point_ids[3] == repr(3 / 8) and s._ids is not None
         assert FiniteSpace.default(4)._ids is None
 
@@ -161,6 +163,34 @@ class TestFiniteSpace:
         assert s.index_of("0.5") == 1
         with pytest.raises(PointNotInSpace):
             s.index_of("0.50")
+
+    def test_given_labels_are_indexed_on_first_lookup(self):
+        s = FiniteSpace(["a", "b", "c"])
+        assert s._index is None
+        assert s.index_of("b") == 1 and s._index == {"a": 0, "b": 1, "c": 2}
+
+    @pytest.mark.parametrize("n", [True, 2.5, "3", None])
+    def test_default_refuses_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValidationError, match="a space size must be an integer, got "):
+            FiniteSpace.default(n)
+
+    def test_default_keeps_its_size_message_and_takes_numpy_integers(self):
+        with pytest.raises(ValidationError, match="a space needs at least one point"):
+            FiniteSpace.default(0)
+        assert FiniteSpace.default(np.int64(3)).point_ids == ("x1", "x2", "x3")
+
+    def test_tail_domain_labels_are_its_grids(self):
+        for d in (TailDomain(), TailDomain([0.0, 0.5, 2.0])):
+            assert d._ids is None and d.grid._ids is None
+            assert d.point_ids == d.grid.point_ids
+        assert d.point_ids == ("0.0", "0.5", "2.0")
+
+    def test_tail_domain_builds_no_labels_in_use(self):
+        d = TailDomain()
+        L = tail_limsup(d)
+        assert L.evaluate(d.ramp(1.0)) == 1.0
+        assert check_sigma_continuity(L, vanishing_sequence(d)).violations == 1
+        assert d._ids is None and d.grid._ids is None
 
     def test_tail_domain_never_equals_its_grid(self):
         g = [0.0, 0.5, 2.0]
@@ -277,6 +307,20 @@ class TestProbabilityMeasure:
             make_measure([0.0, 0.0])
         with pytest.raises(NegativeWeight):
             make_measure([-1.0, 2.0])
+
+    def test_weight_sums_past_the_float_range(self):
+        # a sum that overflows is refused as a measure and normalized over the max by
+        # make_measure, without a RuntimeWarning; a finite sum keeps the weights' bits
+        with pytest.raises(ValidationError, match="weights must sum to 1 within 1e-12; got inf"):
+            ProbabilityMeasure([1e308, 1e308])
+        mu = make_measure([1e308, 1e308, 0.0])
+        assert mu.weights.tolist() == [0.5, 0.5, 0.0] and mu.normalization == math.inf
+        assert make_measure([0.1, 0.2, 0.4]).weights.tolist() == (np.array([0.1, 0.2, 0.4]) / 0.7000000000000001).tolist()
+        for bad in ([math.inf, 1.0], [1e308, math.inf]):
+            with pytest.raises(ValidationError, match="weights must be finite"):
+                make_measure(bad)
+        L = log_integral([1e308, 1e308])
+        assert L.base_value == pytest.approx(math.log(1e308) + math.log(2.0), abs=1e-12)
 
 
 class TestRateFunction:
