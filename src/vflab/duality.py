@@ -46,7 +46,7 @@ class PitSchedule:
             depths = tuple(self.depths if self.depths is not None else _DEFAULT_DEPTHS)
         except TypeError:  # not iterable
             raise ValidationError("depths must be positive and finite") from None
-        if not all(isinstance(d, numbers.Real) for d in depths):
+        if not all(isinstance(d, numbers.Real) and not isinstance(d, bool) for d in depths):
             raise ValidationError("depths must be positive and finite")
         depths = tuple(float(d) for d in depths)
         # comparisons written as not (x > y) so that nan is refused too
@@ -217,7 +217,7 @@ def sublevel_set(rate: RateFunction, a: float) -> SublevelSet:
     Empty and singleton sets have diameter 0; the boundary rate = a is
     included.
     """
-    if not isinstance(a, numbers.Real) or not a > 0:  # refuses nan as well
+    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not a > 0:  # refuses nan as well
         raise ValidationError("sublevel threshold must be positive")
     idx = np.nonzero(rate.values <= a)[0]
     return SublevelSet(

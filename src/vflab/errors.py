@@ -14,7 +14,7 @@ class ValidationError(VflabError):
 
 
 class AllZero(ValidationError):
-    """Weight vector sums to zero, cannot normalize."""
+    """Weight vector has no positive entry: it carries no mass."""
 
 
 class NegativeWeight(ValidationError):

@@ -27,12 +27,12 @@ from .space import (
     FiniteSpace,
     ProbabilityMeasure,
     RateFunction,
-    _as_float_array,
     _finite,
     _freeze,
     _lse,
     _positive_int,
     _require_same_space,
+    _weights,
 )
 
 
@@ -165,23 +165,16 @@ class TailFunction(BoundedFunction):
 def _coerce_measure(nu, space):
     """Log weights and space from a ProbabilityMeasure or raw weights.
 
-    Raw weights must be finite and nonnegative, and are not normalized:
-    log_integral over a non-probability finite measure is well defined
-    (its base value is log of the mass) and the const-preservation check
-    relies on being able to build one.
+    Raw weights pass the measures' own check (space._weights) and are not
+    normalized: log_integral over a non-probability finite measure is well
+    defined (its base value is log of the mass) and the const-preservation
+    check relies on being able to build one.
     """
     if isinstance(nu, ProbabilityMeasure):
         log_weights = nu.log_weights
     else:
-        arr = _as_float_array(nu, "weights", "weights must be a finite 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("weights must be a finite 1-d vector")
-        if np.any(arr < 0):
-            raise ValidationError("weights must be nonnegative")
-        if not arr.any():
-            raise ValidationError("weights must carry positive mass")
         with np.errstate(divide="ignore"):
-            log_weights = np.log(arr)
+            log_weights = np.log(_weights(nu))
     if space is None:
         space = FiniteSpace.default(len(log_weights))
     elif len(space) != len(log_weights):

@@ -270,7 +270,7 @@ def tightness_scan(seq: MeasureSequence, a: float) -> tuple[tuple[int, float], .
     The diagnostic is stabilization of the diameters under refinement, not
     compactness itself, which is automatic here.
     """
-    if not isinstance(a, numbers.Real) or not a > 0:  # refuses nan as well
+    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not a > 0:  # refuses nan as well
         raise ValidationError("tightness threshold must be positive")
     out = []
     for entry in seq.entries:

@@ -31,7 +31,6 @@ from .functionals import (
 )
 from .ldp_lab import GridFunction, MeasureSequence, SequenceEntry
 from .space import (
-    STRUCTURAL_TOL,
     BoundedFunction,
     FiniteSpace,
     ProbabilityMeasure,
@@ -145,20 +144,26 @@ def read_json(path) -> dict:
 
 
 def decode_space(doc, default_size: int | None = None) -> FiniteSpace:
-    """Space from "points" with "coords" or an optional "metric".
+    """Space from optional "points" with "coords" or a "metric", never both.
 
-    With default_size given, "points" may be left out: the labels then
-    default, and with no "coords" either the space is
-    FiniteSpace.default(default_size).
+    Points left out take the default labels, as many as "coords" or as
+    default_size, the size of the space's owner (a rate or a measure);
+    with none of the three keys the space is FiniteSpace.default(default_size).
     """
+    if not isinstance(doc, dict):
+        raise ParseError("a space must be a JSON object", field="space")
+    metric = _list(doc, "metric", "space", _metric_row) if doc.get("metric") is not None else None
     labels = None
-    if default_size is None or "points" in doc:
+    if "points" in doc or default_size is None and "coords" not in doc:
         labels = _list(doc, "points", "space", _label)
     if "coords" in doc:
+        if metric is not None:
+            raise ParseError("a space takes 'coords' or 'metric', not both", field="metric")
         return FiniteSpace.from_line(_list(doc, "coords", "space"), labels)
-    if labels is None:
+    if labels is None and metric is None:
         return FiniteSpace.default(default_size)
-    metric = _list(doc, "metric", "space", _metric_row) if doc.get("metric") is not None else None
+    if labels is None:  # a metric is checked against the owner's size
+        labels = FiniteSpace.default(default_size).point_ids
     return FiniteSpace(labels, metric=metric)
 
 
@@ -182,26 +187,19 @@ def decode_function(doc, space):
     return BoundedFunction(values, space)
 
 
-def _measure(w: np.ndarray) -> ProbabilityMeasure:
-    # sums within 1e-12 of 1 keep their bits; others are normalized with the divisor recorded
-    if abs(_mass(w) - 1.0) <= STRUCTURAL_TOL:
-        return ProbabilityMeasure(w)
-    return make_measure(w)
-
-
 def decode_measure(doc) -> ProbabilityMeasure:
-    """Weights from {"weights": [...]} or a bare list; off-by-more-than-1e-12
-    sums are normalized with the divisor recorded on the result."""
+    """Weights from {"weights": [...]} or a bare list, through make_measure:
+    sums within 1e-12 of 1 keep their bits, others are normalized."""
     if isinstance(doc, list):
         doc = {"weights": doc}
-    return _measure(np.array(_list(doc, "weights", "measure", nonempty=True)))
+    return make_measure(_list(doc, "weights", "measure", nonempty=True))
 
 
 # -- rates --
 
 
 def decode_rate(doc) -> tuple[float, RateFunction]:
-    """(L0, rate) from {"L0", "rate", optional "points"/"coords"/"metric"}.
+    """(L0, rate) from {"L0", "rate"} plus a space object (decode_space) sized by the rate.
 
     A DualReport JSON is accepted directly; its convergence block is
     ignored and the space falls back to default labels.
@@ -289,14 +287,13 @@ def _sequence_entry(n, points: list, weights: list, where: str) -> SequenceEntry
     w = np.array(weights, dtype=float)
     if len(w) == 0 or len(points) != len(w):
         raise ParseError(f"{where}: points and weights must be nonempty and equal length", field="weights")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ParseError(f"{where}: weights must be finite and nonnegative", field="weights")
+    measure = make_measure(w)  # the weights' own check comes before the file's sum rule
     total = _mass(w)
     if abs(total - 1.0) > INGEST_RENORM_TOL:
         raise InvariantViolation(
             f"{where}: weights sum to {total!r}, outside the {INGEST_RENORM_TOL} ingest tolerance"
         )
-    return SequenceEntry(n=n, space=FiniteSpace.from_line(points), measure=_measure(w))
+    return SequenceEntry(n=n, space=FiniteSpace.from_line(points), measure=measure)
 
 
 def _csv_sequence(text: str, description: str) -> MeasureSequence:
@@ -329,10 +326,10 @@ def load_measure_sequence(path) -> MeasureSequence:
 
     JSON: {"description": s, "entries": [{"n", "points", "weights"}]}.
     CSV: header n,point,weight with the rows of each n contiguous (the
-    description falls back to the file stem).  Weight sums within 1e-12
-    of 1 are kept bit-exact; within 1e-6 they are renormalized; anything
-    worse is an InvariantViolation, as are out-of-order n and rows of one
-    n split by another.
+    description falls back to the file stem).  Weights go through
+    make_measure, so sums within 1e-12 of 1 keep their bits; sums within
+    1e-6 are renormalized, anything worse is an InvariantViolation, as are
+    out-of-order n and rows of one n split by another.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -421,25 +418,22 @@ def decode_functional(doc) -> FunctionalHandle:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("functional descriptor needs a 'kind'", field="kind")
     kind = doc["kind"]
-    if kind == "log_integral":
-        if "measure" not in doc:
-            raise ParseError("log_integral needs a 'measure'", field="measure")
-        space = decode_space(doc["space"]) if "space" in doc else None
-        return log_integral(decode_measure(doc["measure"]), space=space)
+    if kind in ("log_integral", "ldp_term"):
+        keys = ("measure", "n") if kind == "ldp_term" else ("measure",)
+        for key in keys:
+            if key not in doc:
+                raise ParseError(f"{kind} needs {key!r}", field=key)
+        n = doc["n"] if kind == "ldp_term" else 1
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ParseError("n must be an integer", field="n")
+        nu = decode_measure(doc["measure"])
+        space = decode_space(doc["space"], len(nu)) if "space" in doc else None  # sized by the measure
+        return ldp_term(nu, n, space=space) if kind == "ldp_term" else log_integral(nu, space=space)
     if kind == "sup_form":
         if "rate" not in doc:
             raise ParseError("sup_form needs a 'rate' list", field="rate")
         L0, rate = decode_rate(doc)
         return sup_form(rate, L0)
-    if kind == "ldp_term":
-        for key in ("measure", "n"):
-            if key not in doc:
-                raise ParseError(f"ldp_term needs {key!r}", field=key)
-        n = doc["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ParseError("n must be an integer", field="n")
-        space = decode_space(doc["space"]) if "space" in doc else None
-        return ldp_term(decode_measure(doc["measure"]), n, space=space)
     if kind == "tail_limsup":
         grid = _list(doc, "grid", "tail_limsup") if "grid" in doc else None
         return tail_limsup(TailDomain(grid))

@@ -375,14 +375,10 @@ class ProbabilityMeasure:
     directly.
     """
 
-    __slots__ = ("weights", "log_weights", "normalization")
+    __slots__ = ("weights", "log_weights")
 
-    def __init__(self, weights, log_weights=None, normalization: float = 1.0):
-        arr = _as_float_array(weights, "weights")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("weights must be finite")
-        if np.any(arr < 0):
-            raise NegativeWeight("weights must be nonnegative")
+    def __init__(self, weights, log_weights=None):
+        arr = _weights(weights)
         total = _mass(arr)
         if abs(total - 1.0) > STRUCTURAL_TOL:
             raise ValidationError(
@@ -399,7 +395,6 @@ class ProbabilityMeasure:
             if not (lw < np.inf).all():  # nan fails too; -inf is a zero weight
                 raise ValidationError("log_weights must be finite or -inf")
         self.log_weights = _freeze(lw)
-        self.normalization = float(normalization)
 
     def __len__(self):
         return len(self.weights)
@@ -416,6 +411,18 @@ class ProbabilityMeasure:
         return hash(self.weights.tobytes())
 
 
+def _weights(values) -> np.ndarray:
+    """The one check of a weight vector: 1-d floats, finite, nonnegative, not all zero."""
+    arr = _as_float_array(values, "weights")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("weights must be finite")
+    if np.any(arr < 0):
+        raise NegativeWeight("weights must be nonnegative")
+    if not arr.any():
+        raise AllZero("weights must carry positive mass")
+    return arr
+
+
 def _mass(arr: np.ndarray) -> float:
     """arr.sum() as a float: inf, without a warning, past the float range."""
     with np.errstate(over="ignore"):
@@ -423,24 +430,18 @@ def _mass(arr: np.ndarray) -> float:
 
 
 def make_measure(weights) -> ProbabilityMeasure:
-    """Normalize raw finite nonnegative weights into a ProbabilityMeasure.
+    """The one normalizer: checked weights as a ProbabilityMeasure.
 
-    The divisor is recorded on the result as .normalization.  Weights
-    whose sum overflows are divided by their max first; the divisor is
-    then inf.
+    A sum within 1e-12 of 1 keeps the weights' bits; any other sum divides
+    them, over their max first when the sum overflows.
     """
-    arr = _as_float_array(weights, "weights")
-    if np.any(arr < 0):
-        raise NegativeWeight("weights must be nonnegative")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("weights must be finite")
+    arr = _weights(weights)
     total = _mass(arr)
-    if total == 0.0:
-        raise AllZero("cannot normalize an all-zero weight vector")
-    scale = float(arr.max()) if total == math.inf else 1.0  # an overflowing sum is taken over the max
-    arr = arr / scale
-    total = float(arr.sum())
-    return ProbabilityMeasure(arr / total, normalization=scale * total)
+    if abs(total - 1.0) > STRUCTURAL_TOL:
+        if total == math.inf:
+            arr = arr / arr.max()
+        arr = arr / arr.sum()
+    return ProbabilityMeasure(arr)
 
 
 class RateFunction:

@@ -8,9 +8,10 @@ import sys
 import pytest
 from conftest import HALF_MEANS, HUGE_IDS, HUGE_NS
 
-from vflab import ldp_lab
+from vflab import ProbabilityMeasure, ingest_sequence, ldp_lab, ldp_term, log_integral, make_measure
 from vflab.cli import run
-from vflab.serialize import dumps
+from vflab.errors import AllZero, NegativeWeight, ValidationError
+from vflab.serialize import decode_measure, dumps
 
 LOG_HALF_1PE = 0.6201145069582775
 UNIFORM2 = {"kind": "log_integral", "measure": {"weights": [0.5, 0.5]}}
@@ -649,3 +650,54 @@ def test_every_report_field_is_finite(tmp_path, capsys, argv):
     assert code in (0, 1, 3) and err == ""
     doc = json.loads(out, parse_constant=_refuse_constant)
     assert [f for f in _non_finite_fields(doc) if not _documented_inf(doc, *f)] == []
+
+
+# one weight fault, its one error on every path a weight vector enters by
+WEIGHT_FAULTS = {
+    "negative": ([-1.0, 2.0], NegativeWeight, "weights must be nonnegative"),
+    "nan": ([math.nan, 0.5], ValidationError, "weights must be finite"),
+    "inf": ([math.inf, 0.5], ValidationError, "weights must be finite"),
+    "all_zero": ([0.0, 0.0], AllZero, "weights must carry positive mass"),
+}
+
+
+def _json_weights(weights):
+    return [w if math.isfinite(w) else str(w) for w in weights]
+
+
+def _sequence_file(tmp_path, weights) -> str:
+    entry = {"n": 1, "points": [0.0, 1.0], "weights": _json_weights(weights)}
+    return write(tmp_path, "seq.json", {"description": "d", "entries": [entry]})
+
+
+WEIGHT_PATHS = {
+    "ProbabilityMeasure": lambda w, tmp_path: ProbabilityMeasure(w),
+    "make_measure": lambda w, tmp_path: make_measure(w),
+    "log_integral_raw": lambda w, tmp_path: log_integral(w),
+    "ldp_term_raw": lambda w, tmp_path: ldp_term(w, 2),
+    "decode_measure": lambda w, tmp_path: decode_measure(_json_weights(w)),
+    "sequence_file": lambda w, tmp_path: ingest_sequence(_sequence_file(tmp_path, w)),
+}
+
+
+@pytest.mark.parametrize("path", list(WEIGHT_PATHS))
+@pytest.mark.parametrize("fault", list(WEIGHT_FAULTS))
+def test_one_weight_fault_one_error_on_every_path(tmp_path, fault, path):
+    weights, error, message = WEIGHT_FAULTS[fault]
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        WEIGHT_PATHS[path](weights, tmp_path)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("command", ["eval", "tightness"])
+@pytest.mark.parametrize("fault", list(WEIGHT_FAULTS))
+def test_one_weight_fault_one_error_record(tmp_path, capsys, fault, command):
+    weights, error, message = WEIGHT_FAULTS[fault]
+    if command == "eval":
+        f = write(tmp_path, "L.json", {"kind": "log_integral", "measure": {"weights": _json_weights(weights)}})
+        argv = ["eval", "--functional", f, "--f", write(tmp_path, "F.json", {"values": [0.0, 0.0]})]
+    else:
+        argv = ["tightness", "--measure", _sequence_file(tmp_path, weights), "--level", "0.1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f'vflab: error kind={error.__name__} detail="{message}"\n'

@@ -79,9 +79,74 @@ class TestSpace:
         assert decode_space({"points": ["x1", "x2", "x3"]}) == FiniteSpace.default(3)
 
     def test_missing_points_rejected(self):
+        # with no owner's size and no coordinates nothing sizes the space
+        for doc in ({}, {"metric": [[0.0]]}):
+            with pytest.raises(ParseError) as exc:
+                decode_space(doc)
+            assert exc.value.field == "points"
+
+
+METRIC3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
+def _owner_space(owner: str, space):
+    """The space that a rate file, a sup_form or a measure descriptor builds from a space object."""
+    if owner == "rate":
+        return decode_rate(dict(space, rate=[0.0, 1.0, 2.0]))[1].space
+    if owner == "sup_form":
+        return decode_functional(dict(space, kind="sup_form", rate=[0.0, 1.0, 2.0])).space
+    doc = {"kind": owner, "measure": [0.25, 0.25, 0.5], "space": space, "n": 2}
+    return decode_functional(doc).space
+
+
+OWNERS = ["rate", "sup_form", "log_integral", "ldp_term"]
+
+
+class TestSpaceObject:
+    """One rule for a space object: points optional, sized by the owner, a metric always checked."""
+
+    @pytest.mark.parametrize("owner", OWNERS)
+    @pytest.mark.parametrize(
+        "space, want",
+        [
+            ({}, FiniteSpace.default(3)),
+            ({"coords": [2.0, -1.0, 0.5]}, FiniteSpace.from_line([2.0, -1.0, 0.5])),
+            ({"points": ["a", "b", "c"]}, FiniteSpace(["a", "b", "c"])),
+            ({"metric": METRIC3}, FiniteSpace(["x1", "x2", "x3"], metric=METRIC3)),
+            ({"points": ["a", "b", "c"], "metric": METRIC3}, FiniteSpace(["a", "b", "c"], metric=METRIC3)),
+        ],
+        ids=["none", "coords", "points", "metric", "points_metric"],
+    )
+    def test_every_owner_reads_a_space_alike(self, owner, space, want):
+        got = _owner_space(owner, space)
+        if not space:  # a default space still builds no labels (comparing them below does)
+            assert got._ids is None
+        assert got == want
+
+    @pytest.mark.parametrize("owner", OWNERS)
+    @pytest.mark.parametrize(
+        "space, error, field",
+        [
+            ({"metric": [[0, 5, 5], [5, 0, 5], [5, 5, 1]]}, ValidationError, None),
+            ({"metric": "junk"}, ParseError, "metric"),
+            ({"metric": [[0, 1], [1, 0]]}, ValidationError, None),
+            ({"coords": [0.0, 1.0, 2.0], "metric": METRIC3}, ParseError, "metric"),
+        ],
+        ids=["nonzero_diagonal", "junk", "wrong_size", "coords_and_metric"],
+    )
+    def test_a_given_metric_is_always_checked(self, owner, space, error, field):
+        with pytest.raises(error) as exc:
+            _owner_space(owner, space)
+        assert type(exc.value) is error
+        if field is not None:
+            assert exc.value.field == field
+
+    @pytest.mark.parametrize("owner", ["log_integral", "ldp_term"])
+    @pytest.mark.parametrize("space", [[{"points": ["a", "b", "c"]}], "abc", None, 5])
+    def test_a_space_that_is_not_an_object_is_a_parse_error(self, owner, space):
         with pytest.raises(ParseError) as exc:
-            decode_space({"coords": [0.0]})
-        assert exc.value.field == "points"
+            _owner_space(owner, space)
+        assert exc.value.field == "space"
 
 
 class TestFunction:
@@ -121,12 +186,10 @@ class TestMeasure:
         w = [0.1, 0.2, 0.30000000000000004, 0.4]
         mu = decode_measure(w)
         assert mu.weights.tolist() == w
-        assert mu.normalization == 1.0
 
-    def test_off_sum_normalizes_and_records(self):
+    def test_off_sum_normalizes(self):
         mu = decode_measure([1.0, 3.0])
         assert mu.weights.tolist() == [0.25, 0.75]
-        assert mu.normalization == 4.0
 
     def test_nan_weights_rejected(self):
         with pytest.raises(ValidationError):
@@ -385,6 +448,7 @@ class TestListFields:
             ({"points": ["a", "b"], "metric": [[0, "x"], [1, 0]]}, "metric"),
             ({"points": ["a", "b"], "metric": [[0, 1], 1]}, "metric"),
             ({"points": ["a", "b"], "metric": [[False, True], [True, False]]}, "metric"),
+            ({"metric": "junk"}, "metric"),
         ],
     )
     def test_space_fields(self, doc, field):

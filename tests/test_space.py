@@ -299,10 +299,11 @@ class TestProbabilityMeasure:
         mu = ProbabilityMeasure([1.0, 0.0], log_weights=[0.0, -np.inf])
         assert mu.log_weights.tolist() == [0.0, -np.inf]
 
-    def test_make_measure_records_normalization(self):
+    def test_make_measure_normalizes(self):
         mu = make_measure([2.0, 6.0])
         assert mu.weights.tolist() == [0.25, 0.75]
-        assert mu.normalization == 8.0
+        # a sum within 1e-12 of 1 keeps its bits
+        assert make_measure([0.5, 0.5 + 3e-13]).weights.tolist() == [0.5, 0.5 + 3e-13]
         with pytest.raises(AllZero):
             make_measure([0.0, 0.0])
         with pytest.raises(NegativeWeight):
@@ -314,7 +315,7 @@ class TestProbabilityMeasure:
         with pytest.raises(ValidationError, match="weights must sum to 1 within 1e-12; got inf"):
             ProbabilityMeasure([1e308, 1e308])
         mu = make_measure([1e308, 1e308, 0.0])
-        assert mu.weights.tolist() == [0.5, 0.5, 0.0] and mu.normalization == math.inf
+        assert mu.weights.tolist() == [0.5, 0.5, 0.0]
         assert make_measure([0.1, 0.2, 0.4]).weights.tolist() == (np.array([0.1, 0.2, 0.4]) / 0.7000000000000001).tolist()
         for bad in ([math.inf, 1.0], [1e308, math.inf]):
             with pytest.raises(ValidationError, match="weights must be finite"):
@@ -426,9 +427,13 @@ def _pair_rate():
         (lambda: PitSchedule((1, None)), "depths must be positive and finite"),
         (lambda: sublevel_set(_pair_rate(), "0.5"), "sublevel threshold must be positive"),
         (lambda: tightness_scan(cramer_sequence(0.5, [2]), None), "tightness threshold must be positive"),
+        (lambda: PitSchedule([True, 2]), "depths must be positive and finite"),
+        (lambda: sublevel_set(_pair_rate(), True), "sublevel threshold must be positive"),
+        (lambda: tightness_scan(cramer_sequence(0.5, [2]), True), "tightness threshold must be positive"),
+        # raw weights take the measures' check, and its 1-d message
+        (lambda: log_integral([[1.0, 1.0]]), "weights must be a 1-d vector"),
         # refused before as well, with these same messages
         (lambda: RateFunction([[0.0, 1.0]], FiniteSpace.default(2)), "rate vector length must match the space"),
-        (lambda: log_integral([[1.0, 1.0]]), "weights must be a finite 1-d vector"),
         (lambda: FiniteSpace.default(2).function([[1.0, 2.0]]), "values must be a 1-d vector"),
     ],
     ids=[
@@ -444,8 +449,11 @@ def _pair_rate():
         "pit_none",
         "sublevel_str",
         "tightness_none",
-        "rate_2d",
+        "pit_bool",
+        "sublevel_bool",
+        "tightness_bool",
         "log_integral_2d",
+        "rate_2d",
         "function_2d",
     ],
 )
