@@ -25,8 +25,6 @@ from .convex_duality import (
     ConjugateReport,
     MeasureFunctional,
     conjugate_J,
-    dirac_functional,
-    exponential_tilt,
     kl_divergence,
     kl_functional,
     recover_L_from_J,
@@ -36,8 +34,6 @@ from .duality import (
     PitSchedule,
     SublevelSet,
     dual_rate,
-    dual_rate_at,
-    pit_values,
     reconstruct,
     representation_gap,
     sublevel_set,
@@ -101,8 +97,6 @@ __all__ = [
     "DualReport",
     "SublevelSet",
     "dual_rate",
-    "dual_rate_at",
-    "pit_values",
     "reconstruct",
     "representation_gap",
     "sublevel_set",
@@ -113,8 +107,6 @@ __all__ = [
     "recover_L_from_J",
     "kl_divergence",
     "kl_functional",
-    "exponential_tilt",
-    "dirac_functional",
     # axiom certification
     "CheckReport",
     "CHECKS",

@@ -9,8 +9,10 @@ conjugate_J computes J(mu) = L(0) + sup_F (mu(F) - L(F)) over function
 vectors with the translation gauge pinned.  Its direction (mu - p)/p is
 built from the gradient p = dL/dF alone; for the log-integral family,
 (1/n) times it is the pinned Newton step, and the secant finds that 1/n.
-For that family the conjugate is relative entropy, and kl_divergence /
-exponential_tilt provide the closed forms the ascent is tested against.
+For that family the conjugate is relative entropy, and kl_divergence
+gives the closed form the ascent is tested against.  Each trial value
+runs the handle's row function on the iterate itself, which by the row
+contract of FunctionalHandle carries the bits of evaluate.
 
 recover_L_from_J goes the other way, L(F) = L0 + sup_mu (mu(F) - J(mu)),
 by entropic mirror ascent on the probability simplex: multiplicative
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleJ, SpaceMismatch, ValidationError
-from .space import BoundedFunction, ProbabilityMeasure, _finite, _lse, _row_blocks
+from .space import BoundedFunction, ProbabilityMeasure, _finite, _row_blocks
 
 EPS_INTERIOR = 1e-9
 BOUNDARY_SNAP = 1e-7
@@ -38,9 +40,6 @@ STEP_INIT = 1.0
 MAX_ITERS = 10000
 VALUE_CAP = 1e6
 FD_STEP = 1e-6
-# dirac_functional's tolerance sits between the interior shift EPS_INTERIOR
-# and FD_STEP: the ascent's start is feasible, every FD probe is blocked
-DIRAC_ATOL = 1e-7
 _EPS = float(np.finfo(float).eps)
 _ARMIJO_C1 = 0.1
 _STEP_FLOOR = 1e-20
@@ -86,20 +85,11 @@ def kl_divergence(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
     if len(m) != len(v):
         raise SpaceMismatch("measures have different lengths")
     support = m > 0
-    if np.any(v[support] == 0.0):
-        return float("inf")
-    terms = m[support] * (np.log(m[support]) - np.log(v[support]))
-    return float(terms.sum())
-
-
-def exponential_tilt(nu: ProbabilityMeasure, F: BoundedFunction) -> ProbabilityMeasure:
-    """The measure proportional to e^F dnu, normalized in the log domain."""
-    if len(nu) != len(F.values):
-        raise SpaceMismatch("measure and function have different lengths")
-    z = nu.log_weights + F.values
-    z = z - _lse(z)
-    w = np.exp(z)
-    return ProbabilityMeasure(w / w.sum(), log_weights=z)
+    if not support.all():  # a full support sums the same terms unmasked
+        m, v = m[support], v[support]
+    if (v == 0.0).any():
+        return math.inf
+    return float((m * (np.log(m) - np.log(v))).sum())
 
 
 def _ascend(value, descent, retract, x, tol: float):
@@ -139,7 +129,7 @@ def _ascend(value, descent, retract, x, tol: float):
             s0 = float(g0 @ g0)
             if s0 > 0:
                 step = t0 * s0 / max(s0 - float(grad @ g0), _EPS * s0)
-        rounding = _ROUNDING_ULPS * _EPS * (1.0 + abs(val) + float(np.max(np.abs(x))))
+        rounding = _ROUNDING_ULPS * _EPS * (1.0 + abs(val) + float(abs(x).max()))
         while True:
             trial_x = retract(x, step, d)
             trial = value(trial_x)
@@ -215,21 +205,22 @@ def conjugate_J(
     use_exact = exact_gradient and L.gradient is not None
     w = mu.weights
     L0 = L.base_value
+    rows = L._rows
 
     def objective(values: np.ndarray) -> float:
         if not np.isfinite(values).all():
             return math.inf  # the step left the float range: the value is unbounded
-        return float(w @ values) - L.evaluate(space.function(values)) + L0
+        return float(w @ values) - float(rows(values)) + L0
 
     def descent(values: np.ndarray):
         p = L.gradient(values) if use_exact else _fd_gradient(L, values)
         g = w - p
-        return float(np.max(np.abs(g))), g, g / np.maximum(p, _EPS)
+        return float(abs(g).max()), g, g / np.maximum(p, _EPS)
 
     def retract(values: np.ndarray, step: float, d: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             moved = values + step * d
-            return moved - moved.mean()
+            return moved - moved.sum() / len(moved)  # the bits of moved.mean()
 
     values, val, iterations, reason = _ascend(objective, descent, retract, np.zeros(len(space)), tol)
     return ConjugateReport(val, space.function(values), iterations, reason)
@@ -274,20 +265,6 @@ def kl_functional(nu: ProbabilityMeasure) -> MeasureFunctional:
         gradient=grad,
         feasible_start=nu,
     )
-
-
-def dirac_functional(mu0: ProbabilityMeasure) -> MeasureFunctional:
-    """J = 0 at mu0 (within DIRAC_ATOL in sup norm), inf elsewhere.
-
-    The ascent starts at mu0, every probe direction is blocked, and it
-    stays put and reports <mu0, F> + L0.
-    """
-    anchor = mu0.weights
-
-    def fn(mu: ProbabilityMeasure) -> float:
-        return 0.0 if float(np.max(np.abs(mu.weights - anchor))) <= DIRAC_ATOL else float("inf")
-
-    return MeasureFunctional("dirac", fn, feasible_start=mu0)
 
 
 def _tangent_objective_grad(objective, weights, base):
@@ -352,11 +329,11 @@ def recover_L_from_J(
         return full
 
     def objective(w: np.ndarray) -> float:
-        if np.any(w < 0):
+        if (w < 0).any():
             return -math.inf
         w = lift(w)
         j = float(J(ProbabilityMeasure(w / w.sum())))
-        return float(w @ F_vals) - j if np.isfinite(j) else -math.inf
+        return float(w @ F_vals) - j if math.isfinite(j) else -math.inf
 
     candidates = []
     start_hint = getattr(J, "feasible_start", None)
@@ -420,8 +397,6 @@ __all__ = [
     "MeasureFunctional",
     "conjugate_J",
     "kl_divergence",
-    "exponential_tilt",
     "kl_functional",
-    "dirac_functional",
     "recover_L_from_J",
 ]

@@ -76,43 +76,26 @@ class DualReport:
     per_point_convergence: tuple[PointConvergence, ...]
 
 
-def _neg_pits(L, indices: np.ndarray, depths) -> np.ndarray:
-    """-L(pit) for the pits 0 at indices[r] and -depths[r] (or one depth) elsewhere.
-
-    A tail domain's pit drops to -depth in its tail column too: only then
-    does the limsup see it.
-    """
-    width = L.space.row_width
-    rows = np.empty((len(indices), width))
-    rows[...] = -np.reshape(depths, (-1, 1))
-    rows[np.arange(len(indices)), indices] = 0.0
-    return -L.evaluate_many(rows)
-
-
-def pit_values(L, index: int, sched: PitSchedule | None = None) -> list[float]:
-    """The raw sequence -L(pit_{x,M}) over the whole schedule, no early exit.
-
-    Diagnostic hook: for a Varadhan functional this sequence is
-    nondecreasing, and tests assert exactly that.
-    """
-    sched = sched or PitSchedule()
-    depths = np.array(sched.depths)
-    out = []
-    for a, b in _row_blocks(len(depths), L.space.row_width):
-        out.extend(_neg_pits(L, np.full(b - a, index), depths[a:b]))
-    return [float(v) for v in out]
-
-
 def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray, list[PointConvergence]]:
     """The pit limit at a block of points, depth by depth.
 
     Each depth is one evaluate_many call over the points whose increment
     has not yet fallen to STALL_TOLERANCE; a point's numbers are those a
-    pass over its own depths alone would give.
+    pass over its own depths alone would give.  The pits, 0 at the point
+    and -depth elsewhere (a tail domain's tail column included: only then
+    does the limsup see them), are refilled into one buffer for the block.
     """
     depths = sched.depths
     k = len(indices)
-    prev = _neg_pits(L, indices, depths[0])
+    buffer = np.empty((k, L.space.row_width))
+
+    def neg_pits(live: np.ndarray, d: float) -> np.ndarray:
+        pits = buffer[: len(live)]
+        pits.fill(-d)
+        pits[np.arange(len(live)), indices[live]] = 0.0
+        return -L.evaluate_many(pits)
+
+    prev = neg_pits(np.arange(k), depths[0])
     depth = np.full(k, depths[0])
     increment = np.zeros(k)
     stalled = np.full(k, len(depths) == 1)
@@ -120,7 +103,7 @@ def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray
         live = np.flatnonzero(~stalled)
         if not len(live):
             break
-        cur = _neg_pits(L, indices[live], d)
+        cur = neg_pits(live, d)
         inc = cur - prev[live]
         increment[live], depth[live], prev[live] = inc, d, cur
         stalled[live] = inc <= STALL_TOLERANCE
@@ -137,18 +120,6 @@ def _dual_points(L, indices: np.ndarray, sched: PitSchedule) -> tuple[np.ndarray
         for i, dp, inc, div in zip(indices, depth, increment, divergent)
     ]
     return values, convergence
-
-
-def dual_rate_at(L, point, sched: PitSchedule | None = None) -> float:
-    """Rate at one point: L(0) + lim over depths of -L(pit).
-
-    Returns inf when the pit values keep climbing at the divergence slope
-    through the final depth.  Single-point spaces give exactly 0.
-    """
-    sched = sched or PitSchedule()
-    index = L.space.index_of(point)
-    values, _ = _dual_points(L, np.array([index]), sched)
-    return float(values[0])
 
 
 def dual_rate(L, sched: PitSchedule | None = None) -> DualReport:
@@ -233,8 +204,6 @@ __all__ = [
     "PointConvergence",
     "DualReport",
     "SublevelSet",
-    "pit_values",
-    "dual_rate_at",
     "dual_rate",
     "reconstruct",
     "representation_gap",

@@ -207,12 +207,12 @@ def _log_rows(V, log_weights, n: int):
 
     Where n V overflows or underflows, V is taken relative to its top
     supported value; elsewhere the plain form runs.  A 1-d V gives a
-    scalar.
+    scalar.  The exponent arrays are its own, so _lse shifts them in place.
     """
-    out = _lse(_exponents(V, log_weights, n)) / n
+    out = _lse(_exponents(V, log_weights, n), overwrite=True) / n
     if _out_of_range(out, n):
         top, z = _shifted(V, log_weights, n)
-        out = np.where(np.isfinite(out), out, top + _lse(z) / n)
+        out = np.where(np.isfinite(out), out, top + _lse(z, overwrite=True) / n)
     return out
 
 

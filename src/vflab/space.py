@@ -36,7 +36,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lse(z: np.ndarray):
+def _lse(z: np.ndarray, overwrite: bool = False):
     """log sum exp(z) over the last axis, each row shifted by its max.
 
     The package's one log-sum-exp kernel.  A 1-d z gives a float; a
@@ -45,23 +45,24 @@ def _lse(z: np.ndarray):
     log1p(rest / k) + log(k) + max, which stays accurate to the last bits
     when they dominate (Blanchard, Higham and Higham 2021).  -inf entries
     are zero weights (all -inf gives -inf); a +inf or nan maximum is
-    returned as it is.
+    returned as it is.  With overwrite, a caller that owns z lets the
+    shifted exponentials take its place, one block-sized array fewer.
     """
     one = z.ndim == 1
     m = z.max(-1)
     if not (math.isfinite(m) if one else np.isfinite(m).all()):
         # non-finite maxima come out of the same formula by IEEE rules
         with np.errstate(invalid="ignore", divide="ignore"):
-            return _lse_rows(z, m, one)
-    return _lse_rows(z, m, one)
+            return _lse_rows(z, m, one, overwrite)
+    return _lse_rows(z, m, one, overwrite)
 
 
-def _lse_rows(z: np.ndarray, m, one: bool):
+def _lse_rows(z: np.ndarray, m, one: bool, overwrite: bool):
     # a 1-d z takes the scalar forms of the same steps: their axis forms
     # cost microseconds a call, and the ascents call this in their loops
     mk = m if one else m[..., None]
     top = z == mk
-    e = z - mk
+    e = np.subtract(z, mk, out=z if overwrite else None)
     np.exp(e, out=e)  # in place: one block-sized temporary fewer per call
     e[top] = 0.0
     k = np.count_nonzero(top) if one else top.sum(-1)
@@ -369,13 +370,14 @@ class BoundedFunction:
 class ProbabilityMeasure:
     """Nonnegative weights summing to 1 within 1e-12.
 
-    log_weights defaults to elementwise log (with log 0 = -inf) but callers
-    that know better, like the exact binomial builder, may pass sharper
-    values, each finite or -inf; rate extraction at large n reads them
-    directly.
+    log_weights defaults to elementwise log (with log 0 = -inf), computed
+    on first read and then cached read-only, so a measure whose logs no
+    one reads never takes them.  Callers that know better, like the exact
+    binomial builder, may pass sharper values, each finite or -inf; rate
+    extraction at large n reads them directly.
     """
 
-    __slots__ = ("weights", "log_weights")
+    __slots__ = ("weights", "_log_weights")
 
     def __init__(self, weights, log_weights=None):
         arr = _weights(weights)
@@ -385,16 +387,21 @@ class ProbabilityMeasure:
                 f"weights must sum to 1 within {STRUCTURAL_TOL}; got {total!r}"
             )
         self.weights = _freeze(arr)
-        if log_weights is None:
-            with np.errstate(divide="ignore"):
-                lw = np.log(arr)
-        else:
+        self._log_weights = None
+        if log_weights is not None:
             lw = _as_float_array(log_weights, "log_weights", "log_weights length mismatch")
             if len(lw) != len(arr):
                 raise ValidationError("log_weights length mismatch")
             if not (lw < np.inf).all():  # nan fails too; -inf is a zero weight
                 raise ValidationError("log_weights must be finite or -inf")
-        self.log_weights = _freeze(lw)
+            self._log_weights = _freeze(lw)
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        if self._log_weights is None:
+            with np.errstate(divide="ignore"):
+                self._log_weights = _freeze(np.log(self.weights))
+        return self._log_weights
 
     def __len__(self):
         return len(self.weights)
@@ -414,11 +421,13 @@ class ProbabilityMeasure:
 def _weights(values) -> np.ndarray:
     """The one check of a weight vector: 1-d floats, finite, nonnegative, not all zero."""
     arr = _as_float_array(values, "weights")
-    if not np.all(np.isfinite(arr)):
+    # nan carries into both reductions; the initial 0.0 covers an empty vector
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("weights must be finite")
-    if np.any(arr < 0):
+    if lo < 0:
         raise NegativeWeight("weights must be nonnegative")
-    if not arr.any():
+    if not hi > 0:
         raise AllZero("weights must carry positive mass")
     return arr
 

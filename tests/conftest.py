@@ -1,5 +1,6 @@
 """Shared fixtures: canonical functional instances, intentionally broken
-handles, and the five frozen continuum test functions."""
+handles, the five frozen continuum test functions, and the reference
+helpers the tests build closed forms and diagnostics from."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from vflab import (
     FiniteSpace,
     FunctionalHandle,
     GridFunction,
+    MeasureFunctional,
+    PitSchedule,
     ProbabilityMeasure,
     RateFunction,
     ldp_term,
@@ -15,7 +18,10 @@ from vflab import (
     sup_form,
     tail_limsup,
 )
+from vflab.duality import _dual_points
+from vflab.errors import SpaceMismatch
 from vflab.ldp_lab import REFERENCE_GRID
+from vflab.space import _lse
 
 
 # Binomial(n, 1/2)/n on {k/n} at n = 1, 2, 4 as a measure-sequence
@@ -121,3 +127,58 @@ def frozen_test_functions() -> dict[str, GridFunction]:
 @pytest.fixture(scope="session")
 def test_functions():
     return frozen_test_functions()
+
+
+# -- reference helpers: closed forms and diagnostics the tests compare against --
+
+
+def pit_values(L, index: int, sched: PitSchedule | None = None) -> list[float]:
+    """The raw sequence -L(pit_{x,M}) over the whole schedule, no early exit.
+
+    Every depth's pit is one row of a single evaluate_many call.  For a
+    Varadhan functional this sequence is nondecreasing.
+    """
+    depths = np.array((sched or PitSchedule()).depths)
+    rows = np.repeat(-depths[:, None], L.space.row_width, axis=1)
+    rows[:, index] = 0.0
+    return [float(v) for v in -L.evaluate_many(rows)]
+
+
+def dual_rate_at(L, point, sched: PitSchedule | None = None) -> float:
+    """Rate at one point, by the pit pass over that point alone.
+
+    inf when the pit values keep climbing at the divergence slope through
+    the final depth.  Single-point spaces give exactly 0.
+    """
+    values, _ = _dual_points(L, np.array([L.space.index_of(point)]), sched or PitSchedule())
+    return float(values[0])
+
+
+def exponential_tilt(nu: ProbabilityMeasure, F) -> ProbabilityMeasure:
+    """The measure proportional to e^F dnu, normalized in the log domain."""
+    if len(nu) != len(F.values):
+        raise SpaceMismatch("measure and function have different lengths")
+    z = nu.log_weights + F.values
+    z = z - _lse(z)
+    w = np.exp(z)
+    return ProbabilityMeasure(w / w.sum(), log_weights=z)
+
+
+# dirac_functional's tolerance sits between the ascent's interior shift
+# (1e-9) and its finite-difference step (1e-6): the ascent's start is
+# feasible, every finite-difference probe is blocked
+DIRAC_ATOL = 1e-7
+
+
+def dirac_functional(mu0: ProbabilityMeasure) -> MeasureFunctional:
+    """J = 0 at mu0 (within DIRAC_ATOL in sup norm), inf elsewhere.
+
+    The ascent starts at mu0, every probe direction is blocked, and it
+    stays put and reports <mu0, F> + L0.
+    """
+    anchor = mu0.weights
+
+    def fn(mu: ProbabilityMeasure) -> float:
+        return 0.0 if float(np.max(np.abs(mu.weights - anchor))) <= DIRAC_ATOL else float("inf")
+
+    return MeasureFunctional("dirac", fn, feasible_start=mu0)

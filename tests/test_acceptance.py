@@ -17,6 +17,7 @@ from conftest import (
     broken_monotone_handle,
     broken_translation_handle,
     canonical_suite,
+    exponential_tilt,
     frozen_test_functions,
 )
 
@@ -35,7 +36,6 @@ from vflab import (
     dual_rate,
     empirical_rate_at,
     estimate_limit,
-    exponential_tilt,
     kl_divergence,
     kl_functional,
     ldp_value,

@@ -19,6 +19,8 @@ from conftest import (
     broken_monotone_handle,
     broken_translation_handle,
     canonical_suite,
+    dual_rate_at,
+    pit_values,
 )
 
 from vflab import (
@@ -31,10 +33,8 @@ from vflab import (
     TailDomain,
     check_lipschitz,
     dual_rate,
-    dual_rate_at,
     ldp_term,
     log_integral,
-    pit_values,
     sup_form,
     tail_limsup,
 )

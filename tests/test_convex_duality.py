@@ -4,18 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dirac_functional, exponential_tilt
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vflab import (
     ProbabilityMeasure,
     RateFunction,
     TailDomain,
     conjugate_J,
-    dirac_functional,
-    exponential_tilt,
     kl_divergence,
     kl_functional,
     ldp_term,
     log_integral,
+    make_measure,
     recover_L_from_J,
     sup_form,
     tail_limsup,
@@ -67,6 +69,33 @@ class TestKlDivergence:
     def test_length_mismatch(self):
         with pytest.raises(SpaceMismatch):
             kl_divergence(ProbabilityMeasure([1.0]), ProbabilityMeasure([0.5, 0.5]))
+
+
+def masked_kl(mu, nu) -> float:
+    """kl_divergence as written before its full-support path: every term masked to mu's support."""
+    m, v = mu.weights, nu.weights
+    support = m > 0
+    if np.any(v[support] == 0.0):
+        return float("inf")
+    return float((m[support] * (np.log(m[support]) - np.log(v[support]))).sum())
+
+
+def seeded_measure(rng, m: int, zeros: int) -> ProbabilityMeasure:
+    """A Dirichlet draw with the given number of its first weights set to zero."""
+    w = rng.dirichlet(np.ones(m))
+    w[:zeros] = 0.0
+    return make_measure(w)
+
+
+class TestKlFastPath:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 3), st.integers(0, 3))
+    def test_same_bits_as_the_masked_form(self, seed, m, mu_zeros, nu_zeros):
+        rng = np.random.default_rng(seed)
+        mu = seeded_measure(rng, m, min(mu_zeros, m - 1))
+        nu = seeded_measure(rng, m, min(nu_zeros, m - 1))
+        for a, b in ((mu, nu), (nu, mu), (mu, mu)):
+            assert repr(kl_divergence(a, b)) == repr(masked_kl(a, b))
 
 
 class TestExponentialTilt:
@@ -239,6 +268,58 @@ def fd_reports_match_reference(monkeypatch, L, mu):
         want = conjugate_J(L, mu, exact_gradient=False)
     same = (got.value, got.iterations, got.stop_reason) == (want.value, want.iterations, want.stop_reason)
     return got, same and got.maximizer.values.tobytes() == want.maximizer.values.tobytes()
+
+
+def reference_conjugate(L, mu, tol=convex_duality.ASCENT_TOL):
+    """conjugate_J's ascent with its per-trial forms written out as before.
+
+    Each trial value goes through L.evaluate on a checked function, the
+    retraction centres by np.mean and the residual is np.max(np.abs(g)).
+    Returns (values, value, iterations, stop_reason).
+    """
+    space, w, L0 = L.space, mu.weights, L.base_value
+
+    def objective(values):
+        if not np.isfinite(values).all():
+            return math.inf
+        return float(w @ values) - L.evaluate(space.function(values)) + L0
+
+    def descent(values):
+        p = L.gradient(values) if L.gradient is not None else convex_duality._fd_gradient(L, values)
+        g = w - p
+        return float(np.max(np.abs(g))), g, g / np.maximum(p, convex_duality._EPS)
+
+    def retract(values, step, d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = values + step * d
+            return moved - np.mean(moved)
+
+    return convex_duality._ascend(objective, descent, retract, np.zeros(len(space)), tol)
+
+
+def conjugate_handles(nu, rate):
+    """log_integral, ldp_term, sup_form and a rows-only log_integral on nu's space."""
+    L = log_integral(nu)
+    return [
+        L,
+        ldp_term(nu, 3),
+        sup_form(RateFunction(rate, L.space)),
+        FunctionalHandle("log_integral_rows_only", L.space, rows=L._rows, claims_convex=True),
+    ]
+
+
+class TestRowObjective:
+    @pytest.mark.parametrize("index", range(4), ids=["log_integral", "ldp_term", "sup_form", "rows_only"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+    def test_report_has_the_bits_of_the_evaluate_objective(self, index, seed, m):
+        rng = np.random.default_rng(seed)
+        nu, mu = (make_measure(np.maximum(rng.dirichlet(np.ones(m)), 1e-4)) for _ in range(2))
+        L = conjugate_handles(nu, rng.uniform(0.0, 3.0, m))[index]
+        report = conjugate_J(L, mu)
+        values, value, iterations, reason = reference_conjugate(L, mu)
+        assert (repr(report.value), report.iterations, report.stop_reason) == (repr(value), iterations, reason)
+        assert report.maximizer.values.tobytes() == values.tobytes()
 
 
 class TestBlockedFiniteDifferences:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import dual_rate_at, pit_values
 
 from vflab import (
     FiniteSpace,
@@ -12,9 +13,7 @@ from vflab import (
     RateFunction,
     TailDomain,
     dual_rate,
-    dual_rate_at,
     log_integral,
-    pit_values,
     reconstruct,
     representation_gap,
     sublevel_set,

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import canonical_suite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vflab import (
     FiniteSpace,
+    FunctionalHandle,
     ProbabilityMeasure,
     RateFunction,
     ldp_term,
@@ -322,3 +324,24 @@ def test_default_space_stores_no_matrix():
         tracemalloc.stop()
     assert value == pytest.approx(0.0, abs=1e-12)
     assert peak < 4 * 2**20  # one 4096 x 4096 float matrix is 128 MB
+
+
+def row_handles():
+    """The four built-ins and a handle given by log_integral's row function alone."""
+    handles = canonical_suite()
+    L = handles[0]
+    return handles + [FunctionalHandle("log_integral_rows_only", L.space, rows=L._rows, claims_convex=True)]
+
+
+@pytest.mark.parametrize("index", range(5), ids=["log_integral", "sup_form", "ldp_term", "tail_limsup", "rows_only"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 30.0, 1e3, 1e300]))
+def test_row_function_on_a_bare_row_gives_the_bits_of_evaluate(index, seed, scale):
+    # conjugate_J runs the row function on its own iterate: the row must come
+    # back untouched, and the value must be evaluate's on the checked function
+    L = row_handles()[index]
+    row = np.random.default_rng(seed).uniform(-scale, scale, L.space.row_width)
+    kept = row.copy()
+    got = float(L._rows(row))
+    assert row.tobytes() == kept.tobytes()
+    assert repr(got) == repr(L.evaluate(L.space.from_row(kept)))

@@ -372,6 +372,29 @@ class TestLdpValueAndLimit:
             v = ldp_value(entry, lambda x: x)
             assert v == pytest.approx(LOG_HALF_1PE, abs=1e-10)
 
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3, 0.999])
+    def test_cumulant_identity(self, p):
+        # sum_k C(n,k) p^k (1-p)^(n-k) e^(lam k) = (1 - p + p e^lam)^n, so
+        # (1/n) log int e^(n lam x) dmu_n = log1p(p expm1(lam)) at every n.
+        # The bound follows the computation: log-sum-exp is 1-Lipschitz in the
+        # sup norm, so an error e_k in the exponent n lam x_k + log w_k moves the
+        # value by at most max e_k / n.  log w_k sums lgamma(n+1), lgamma(k+1),
+        # lgamma(n-k+1) (together at most 2 lgamma(n+1)) and n terms of size
+        # |log p| or |log1p(-p)|; n lam x_k and the sum round at most |lam| n
+        # more; the pairwise sum over n + 1 terms adds log2(n + 2) ulps before
+        # the log; the last division and the reference each round at |value|.
+        # Some ten roundings in all, lgamma within a few ulps: 16 ulps of each.
+        u = 2.0**-53
+        schedule = [1, 2, 3, 16, 64, 256, 1024, 4096, 16384, 65536]
+        for entry in cramer_sequence(p, schedule).entries:
+            n = entry.n
+            for lam in (-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 0.7, 3.0, 20.0):
+                want = math.log1p(p * math.expm1(lam))
+                scale = (2 * math.lgamma(n + 1) + math.log2(n + 2)) / n + abs(math.log(p)) + abs(math.log1p(-p))
+                bound = 16 * u * (scale + abs(lam) + abs(want))
+                got = ldp_value(entry, lambda x: lam * x)
+                assert abs(got - want) <= bound, (n, lam, got, want)
+
     def test_grid_interpolant_matches_callable(self):
         seq = cramer_sequence(0.5, [16, 64, 256])
         g = GridFunction(REFERENCE_GRID.copy())

@@ -36,7 +36,7 @@ from vflab.errors import (
     ValidationError,
 )
 from vflab.functionals import TailDomain
-from vflab.space import _lse
+from vflab.space import _lse, _weights
 
 
 class TestFiniteSpace:
@@ -63,6 +63,23 @@ class TestFiniteSpace:
             FiniteSpace(["a", "a"])  # duplicate labels
         with pytest.raises(ValidationError):
             FiniteSpace([])
+
+    def test_metric_entries_must_be_finite(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="metric entries must be finite"):
+                FiniteSpace(["a", "b"], [[0.0, bad], [bad, 0.0]])
+
+    def test_metric_entries_must_be_nonnegative(self):
+        # symmetric with a zero diagonal, so only the sign check can refuse it
+        with pytest.raises(ValidationError, match="metric must be nonnegative"):
+            FiniteSpace(["a", "b"], [[0.0, -1.0], [-1.0, 0.0]])
+
+    def test_subset_diameter_reads_a_given_matrix(self):
+        s = FiniteSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+        assert s.subset_diameter([1, 2]) == 1.5
+        assert s.subset_diameter(np.array([2, 0, 1])) == 2.0
+        assert s.subset_diameter([1, 1]) == 0.0
+        assert s.subset_diameter([2]) == 0.0
 
     def test_default_skips_the_cubic_triangle_check(self):
         # the triangle loop is O(m^3): about 30 s at m = 2048 on a 2-vCPU Xeon
@@ -286,6 +303,48 @@ class TestProbabilityMeasure:
         assert np.allclose(mu.log_weights[:2], np.log(0.5))
         assert mu.log_weights[2] == -np.inf
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=40).filter(any))
+    def test_lazy_log_weights_are_the_elementwise_log(self, raw):
+        mu = make_measure(raw)
+        with np.errstate(divide="ignore"):
+            want = np.log(mu.weights)
+        lw = mu.log_weights
+        assert lw.tobytes() == want.tobytes()
+        assert mu.log_weights is lw  # computed once, then cached
+        assert not lw.flags.writeable
+        with pytest.raises(ValueError):
+            lw[0] = 0.0
+
+    def test_explicit_log_weights_win_over_the_lazy_log(self):
+        lw = np.log([0.25, 0.75]) + 1e-13
+        mu = ProbabilityMeasure([0.25, 0.75], log_weights=lw)
+        assert mu.log_weights.tobytes() == lw.tobytes()
+        assert mu.log_weights.tobytes() != np.log([0.25, 0.75]).tobytes()
+        assert not mu.log_weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "raw, error, message",
+        [
+            ([math.nan], ValidationError, "weights must be finite"),
+            ([math.inf, 0.5], ValidationError, "weights must be finite"),
+            ([0.5, -math.inf], ValidationError, "weights must be finite"),
+            ([math.nan, -1.0], ValidationError, "weights must be finite"),
+            ([-1.0, math.nan], ValidationError, "weights must be finite"),
+            ([math.nan, math.inf, -1.0], ValidationError, "weights must be finite"),
+            ([-1e-300, 1.0], NegativeWeight, "weights must be nonnegative"),
+            ([-0.0], AllZero, "weights must carry positive mass"),
+            ([-0.0, 0.0], AllZero, "weights must carry positive mass"),
+            ([], AllZero, "weights must carry positive mass"),
+        ],
+    )
+    def test_weight_errors_in_their_order(self, raw, error, message):
+        # finiteness first, then the sign, then the mass, on every entry path
+        for build in (_weights, ProbabilityMeasure, make_measure, log_integral):
+            with pytest.raises(ValidationError) as info:
+                build(raw)
+            assert type(info.value) is error and str(info.value) == message
+
     def test_custom_log_weights_kept(self):
         lw = np.log([0.25, 0.75]) + 1e-17
         mu = ProbabilityMeasure([0.25, 0.75], log_weights=lw)
@@ -394,6 +453,20 @@ class TestLse:
                 z[size - 1] = z.max()  # a tied maximum
             expected = self.oracle(z)
             assert abs(_lse(z) - expected) <= 4 * math.ulp(expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=24),
+        st.integers(1, 4),
+    )
+    def test_overwrite_gives_the_same_bits_into_z(self, entries, k):
+        # overwrite lets the shifted exponentials take z's place, and nothing else changes
+        for z in (np.array(entries), np.tile(entries, (k, 1)) + np.arange(k)[:, None]):
+            want = _lse(z)
+            own = z.copy()
+            got = _lse(own, overwrite=True)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert type(got) is type(want)
 
     def test_special_values(self):
         assert _lse(np.array([-np.inf, -np.inf])) == -np.inf
