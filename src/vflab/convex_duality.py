@@ -15,14 +15,14 @@ runs the handle's row function on the iterate itself, which by the row
 contract of FunctionalHandle carries the bits of evaluate.
 
 recover_L_from_J goes the other way, L(F) = L0 + sup_mu (mu(F) - J(mu)),
-by entropic mirror ascent on the probability simplex: multiplicative
-weights keep iterates strictly interior, and a final snap pushes
-sub-1e-7 mass back to the boundary.
+by entropic mirror ascent on the probability simplex from J's feasible
+start (or the uniform measure): multiplicative weights keep iterates
+strictly interior, and a final snap pushes sub-1e-7 mass back to the
+boundary when that does not lower the value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import warnings
@@ -231,8 +231,8 @@ class MeasureFunctional:
 
     gradient, when given, maps interior weight vectors to dJ/dmu.
     feasible_start supplies a measure with finite J for ascent
-    initialization; without it, recover_L_from_J probes the uniform
-    measure and the corners.
+    initialization; without it, recover_L_from_J starts at the uniform
+    measure.
     """
 
     __slots__ = ("name", "_rate", "gradient", "feasible_start")
@@ -310,11 +310,15 @@ def recover_L_from_J(
     mu(F) - J(mu).  The stationarity residual is the KKT condition for
     the simplex: centered gradient components vanish on the support and
     are nonpositive off it; the ascent stops once they are within tol.
-    When no interior start has finite J, it ascends on the support of J's
-    feasible start, whose zeros stay zero.  Raises InfeasibleJ when no
-    probed start has finite J, and SpaceMismatch when J's feasible start
-    and F differ in length; a non-finite L0 or a tol not positive and
-    finite is a ValidationError.
+
+    The start is J's feasible_start, or the uniform measure when J gives
+    none, floored at EPS_INTERIOR and renormalized.  Where J is infinite
+    there, the ascent runs on the start's support, whose zeros stay zero;
+    where J is infinite on that too, it raises InfeasibleJ.  Mass below
+    BOUNDARY_SNAP is snapped to zero at the end unless that lowers the
+    value by more than the ascent's rounding allowance.  SpaceMismatch
+    when J's feasible start and F differ in length; a non-finite L0 or a
+    tol not positive and finite is a ValidationError.
     """
     L0 = _finite(L0, "L0")
     F_vals = F.values
@@ -335,30 +339,18 @@ def recover_L_from_J(
         j = float(J(ProbabilityMeasure(w / w.sum())))
         return float(w @ F_vals) - j if math.isfinite(j) else -math.inf
 
-    candidates = []
-    start_hint = getattr(J, "feasible_start", None)
-    if start_hint is not None:
-        if len(start_hint.weights) != m:
-            raise SpaceMismatch("feasible start and function have different lengths")
-        candidates.append(np.asarray(start_hint.weights, dtype=float))
-    candidates.append(np.full(m, 1.0 / m))
-    # corners one at a time: the ascent usually starts at an earlier candidate
-    corners = (np.eye(1, m, i)[0] for i in range(m))
-    weights = None
-    for cand in itertools.chain(candidates, corners):
-        interior = np.maximum(cand, EPS_INTERIOR)
-        interior = interior / interior.sum()
-        if objective(interior) > -math.inf:
-            weights = interior
-            break
-    if weights is None and start_hint is not None:
-        # every interior start charges a point where J is infinite: ascend on the start's support
-        on = start_hint.weights > 0
-        weights = start_hint.weights[on] / start_hint.weights[on].sum()
+    start = getattr(J, "feasible_start", None)
+    start = np.full(m, 1.0 / m) if start is None else start.weights
+    if len(start) != m:
+        raise SpaceMismatch("feasible start and function have different lengths")
+    weights = np.maximum(start, EPS_INTERIOR)
+    weights = weights / weights.sum()
+    if objective(weights) == -math.inf:
+        # the floored start charges a point where J is infinite: ascend on the start's support
+        on = start > 0
+        weights = start[on] / start[on].sum()
         if objective(weights) == -math.inf:
-            weights = None
-    if weights is None:
-        raise InfeasibleJ("no probed measure has finite J")
+            raise InfeasibleJ("no probed measure has finite J")
 
     grad_hook = getattr(J, "gradient", None) if exact_gradient else None
 
@@ -381,13 +373,14 @@ def recover_L_from_J(
 
     weights, val, iterations, reason = _ascend(objective, descent, retract, weights, tol)
     if reason != "value_cap":
-        # snap dust back onto the boundary when J still accepts the result
+        # snap dust back onto the boundary unless that lowers the value
+        # beyond the ascent's own rounding allowance
         snapped = np.where(weights < BOUNDARY_SNAP, 0.0, weights)
         total = snapped.sum()
         if total > 0:
             snapped = snapped / total
             sval = objective(snapped)
-            if np.isfinite(sval):
+            if sval >= val - _ROUNDING_ULPS * _EPS * (1.0 + abs(val)):
                 weights, val = snapped, sval
     return ConjugateReport(L0 + val, ProbabilityMeasure(lift(weights)), iterations, reason)
 

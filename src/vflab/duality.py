@@ -148,19 +148,15 @@ def reconstruct(rate: RateFunction, L0: float, F: BoundedFunction) -> float:
     return sup_form(rate, L0).evaluate(F)
 
 
-def representation_gap(
-    L,
-    F: BoundedFunction,
-    sched: PitSchedule | None = None,
-    *,
-    dual: DualReport | None = None,
-) -> float:
+def representation_gap(L, F: BoundedFunction, *, dual: DualReport | None = None) -> float:
     """L(F) minus its own sup-form reconstruction; >= -1e-9 always.
 
-    Passing a precomputed DualReport amortizes the pit transform when
-    probing many functions against one functional.
+    The rate is dual_rate(L) at the default depths, or dual when given:
+    a precomputed DualReport amortizes the pit transform when probing
+    many functions against one functional, and dual_rate(L, sched) gives
+    other depths.
     """
-    report = dual or dual_rate(L, sched)
+    report = dual or dual_rate(L)
     return L.evaluate(F) - reconstruct(report.rate, report.base_value, F)
 
 
@@ -201,7 +197,6 @@ def sublevel_set(rate: RateFunction, a: float) -> SublevelSet:
 
 __all__ = [
     "PitSchedule",
-    "PointConvergence",
     "DualReport",
     "SublevelSet",
     "dual_rate",

@@ -294,7 +294,6 @@ __all__ = [
     "FunctionalHandle",
     "TailDomain",
     "TailFunction",
-    "DEFAULT_TAIL_GRID",
     "log_integral",
     "sup_form",
     "ldp_term",

@@ -280,7 +280,6 @@ def tightness_scan(seq: MeasureSequence, a: float) -> tuple[tuple[int, float], .
 
 
 __all__ = [
-    "REFERENCE_GRID",
     "SequenceEntry",
     "MeasureSequence",
     "LimitReport",

@@ -513,3 +513,13 @@ def validate_decreasing(seq) -> tuple:
             # a row column past the points is a tail column
             raise NotMonotone(k, space.point_ids[i] if i < len(space) else "tail")
     return tuple(terms)
+
+
+__all__ = [
+    "FiniteSpace",
+    "BoundedFunction",
+    "ProbabilityMeasure",
+    "RateFunction",
+    "make_measure",
+    "validate_decreasing",
+]

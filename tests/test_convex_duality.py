@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import dirac_functional, exponential_tilt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vflab import (
@@ -33,6 +33,16 @@ KL_3Q_HALF = 0.13081203594113697  # KL((0.75,0.25) || (0.5,0.5))
 
 def tv(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(a) - np.asarray(b)).sum())
+
+
+def closed_form_case(seed: int):
+    """(reference weights, F) for the recover sweep: m in 2..39, half the draws with zero weights."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    w = rng.dirichlet(np.full(m, 0.5))
+    if rng.integers(2):
+        w[rng.choice(m, int(rng.integers(1, m)), replace=False)] = 0.0
+    return w, rng.uniform(-3.0, 3.0, m)
 
 
 def criterion_4_pair(case: int):
@@ -533,7 +543,7 @@ class TestRecover:
             recover_L_from_J(kl_functional(ProbabilityMeasure([0.5, 0.5])), 0.0, F)
 
     def test_accepted_start_builds_no_corners(self):
-        # one m x m identity per corner candidate peaked at ~1 GB for m = 512
+        # no m x m array per probed start: one was ~1 GB at m = 512
         m = 512
         nu = ProbabilityMeasure(np.full(m, 1.0 / m))
         F = FiniteSpace.default(m).zero_function()
@@ -555,6 +565,41 @@ class TestRecover:
         J = MeasureFunctional("wall", lambda mu: math.inf, feasible_start=ProbabilityMeasure([0.5, 0.5, 0.0]))
         with pytest.raises(InfeasibleJ):
             recover_L_from_J(J, 0.0, F)
+
+    def test_zero_weight_start_costs_few_j_calls(self):
+        # the floored start charges nu's zero, so J is infinite there and the
+        # start's support is the one other start tried: a few calls, not one per point
+        m = 512
+        rng = np.random.default_rng(m)
+        w = rng.dirichlet(np.ones(m))
+        w[-1] = 0.0
+        kl = kl_functional(make_measure(w))
+        calls = []
+        J = MeasureFunctional(
+            "counted", lambda mu: calls.append(1) or kl(mu), gradient=kl.gradient, feasible_start=kl.feasible_start
+        )
+        report = recover_L_from_J(J, 0.0, FiniteSpace.default(m).function(rng.uniform(-3.0, 3.0, m)))
+        assert report.converged
+        assert len(calls) <= 8
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1).map(closed_form_case))
+    @example((np.array([0.99999995, 5e-08]), np.zeros(2)))  # snapping its 5e-08 of tilt mass costs 5e-08
+    def test_kl_value_is_the_closed_form(self, case):
+        w, values = case
+        nu = make_measure(w)
+        F = FiniteSpace.default(len(w)).function(values)
+        want = log_integral(nu).evaluate(F)
+        got = recover_L_from_J(kl_functional(nu), 0.0, F).value
+        # the ascent stops with every centered gradient component within tol,
+        # where the value falls short of the sup by KL(mu || tilt) <= tol**2 / 2;
+        # the rest is rounding, a few eps per term of the value's m-term sums,
+        # each term weighted by the tilt: |F| and |log(tilt / nu)| = |F - want|
+        on = nu.weights > 0
+        tilt = nu.weights[on] * np.exp(values[on] - want)
+        scale = 1.0 + float(tilt @ (np.abs(values[on]) + np.abs(values[on] - want)))
+        bound = convex_duality.ASCENT_TOL**2 / 2 + 4 * (len(w) + 2) * np.finfo(float).eps * scale
+        assert abs(got - want) <= bound
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_reference_measure_with_a_zero_weight(self, exact):
