@@ -6,9 +6,10 @@ skeleton measures stationarity, takes a step from a secant first trial,
 backtracks under one acceptance rule, and records why it stopped.
 
 conjugate_J computes J(mu) = L(0) + sup_F (mu(F) - L(F)) over function
-vectors with the translation gauge pinned.  Its direction (mu - p)/p is
-built from the gradient p = dL/dF alone; for the log-integral family,
-(1/n) times it is the pinned Newton step, and the secant finds that 1/n.
+vectors with the translation gauge pinned.  Its direction log(mu/p) is
+built from the gradient p = dL/dF alone, the log-ratio update of
+generalized iterative scaling; for the log-integral family the step 1/n
+along it lands on p = mu, so one step or a few halvings reach the sup.
 For that family the conjugate is relative entropy, and kl_divergence
 gives the closed form the ascent is tested against.  Each trial value
 runs the handle's row function on the iterate itself, which by the row
@@ -184,12 +185,13 @@ def conjugate_J(
     tol; a tol not positive and finite, or a tail domain (rows that are
     not its points), is a ValidationError.
 
-    The direction is (mu - p)/p, with p floored at float eps.  For
-    L(F) = (1/n) log int e^{nF} dnu the Hessian is n (diag p - p p^T), so
-    the pinned Newton step is this direction times 1/n; the secant first
-    trial of the shared skeleton finds that scale without a Hessian.
-    Where p has a zero entry under mass of mu, the floored direction
-    climbs steeply, and a value beyond VALUE_CAP declares J(mu) = inf.
+    The direction is log(mu/p), mu and p floored at float eps.  Its slope
+    sum (mu - p) log(mu/p) is positive unless mu = p, so it ascends for
+    any handle.  For L(F) = (1/n) log int e^{nF} dnu the tilt moves to
+    p (mu/p)^{nt} at step t, so t = 1/n is exact: the first trial
+    STEP_INIT at n = 1, one of its halvings at n = 2, 4, 8.  Where p is
+    zero under mass of mu, the direction keeps the steep (mu - p)/eps,
+    and a value beyond VALUE_CAP declares J(mu) = inf.
     """
     if not L.claims_convex:
         warnings.warn(
@@ -215,7 +217,10 @@ def conjugate_J(
     def descent(values: np.ndarray):
         p = L.gradient(values) if use_exact else _fd_gradient(L, values)
         g = w - p
-        return float(abs(g).max()), g, g / np.maximum(p, _EPS)
+        floored = np.maximum(p, _EPS)
+        # log(mu/p), but a point outside p's support keeps the steep (mu - p)/eps
+        d = np.where((p == 0) & (w > 0), g / floored, np.log(np.maximum(w, _EPS) / floored))
+        return float(abs(g).max()), g, d
 
     def retract(values: np.ndarray, step: float, d: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -258,6 +258,45 @@ class TestConjugate:
         assert elapsed < 1.0
 
 
+class TestOneStep:
+    # along d = log(mu/p), the log family's tilt is p(F + t d) ~ p (mu/p)^(n t),
+    # so the step t = 1/n lands on p = mu: the first trial for n = 1, a halving
+    # of it for n = 2, 4, 8
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 512))
+    def test_log_family_lands_on_mu(self, seed, m):
+        rng = np.random.default_rng(seed)
+        nu, mu = (make_measure(np.maximum(rng.dirichlet(np.ones(m)), 1e-4)) for _ in range(2))
+        kl = kl_divergence(mu, nu)
+        for n in (1, 2, 4, 8):
+            report = conjugate_J(log_integral(nu) if n == 1 else ldp_term(nu, n), mu)
+            assert report.converged, n
+            if n == 1:
+                assert report.iterations == 1
+            # within the ascent's own rounding allowance on a value of size KL/n
+            bound = convex_duality._ROUNDING_ULPS * convex_duality._EPS * (1.0 + kl / n)
+            assert abs(report.value - kl / n) <= bound, n
+
+    @pytest.mark.parametrize(
+        ("nu", "mu", "n"),
+        [
+            # the tilt of a mu mass below tol underflowed, and the report
+            # said stationary 1.2e-6 below KL/n
+            ([7.4e-10, 8.3e-44, 1 - 7.4e-10], [2.6e-14, 1 - 6.1e-9, 6.1e-9], 2),
+            # a floored p dominated a step and the next secant trial was too
+            # small (KL = 690.8)
+            ([1.0, 1e-300], [6.8e-7, 1 - 6.8e-7], 1),
+        ],
+        ids=["underflowed_tilt", "floored_step"],
+    )
+    def test_extreme_pairs_end_stationary(self, nu, mu, n):
+        nu, mu = make_measure(nu), make_measure(mu)
+        report = conjugate_J(ldp_term(nu, n), mu)
+        want = kl_divergence(mu, nu) / n
+        assert report.stop_reason == "stationary"
+        assert abs(report.value - want) <= 64 * convex_duality._EPS * (1.0 + want)
+
+
 def reference_fd_gradient(L, values):
     """Central differences one coordinate at a time through evaluate: the reference for the blocked probes."""
     g = np.empty(len(values))
@@ -297,7 +336,9 @@ def reference_conjugate(L, mu, tol=convex_duality.ASCENT_TOL):
     def descent(values):
         p = L.gradient(values) if L.gradient is not None else convex_duality._fd_gradient(L, values)
         g = w - p
-        return float(np.max(np.abs(g))), g, g / np.maximum(p, convex_duality._EPS)
+        floored = np.maximum(p, convex_duality._EPS)
+        d = np.where((p == 0) & (w > 0), g / floored, np.log(np.maximum(w, convex_duality._EPS) / floored))
+        return float(np.max(np.abs(g))), g, d
 
     def retract(values, step, d):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -414,8 +455,10 @@ class TestStopReason:
 
     def test_max_iters(self, monkeypatch):
         monkeypatch.setattr(convex_duality, "MAX_ITERS", 1)
+        # log_integral lands on mu in one step; at n = 3 no halving of the
+        # first trial is the exact step 1/3, so a second step is needed
         nu, mu = self.PAIR
-        report = conjugate_J(log_integral(nu), mu)
+        report = conjugate_J(ldp_term(nu, 3), mu)
         assert report.stop_reason == "max_iters"
         assert report.iterations == 1 and not report.converged
 

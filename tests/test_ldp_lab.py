@@ -17,6 +17,7 @@ from vflab import (
     binomial_weights,
     cramer_rate,
     cramer_sequence,
+    dual_rate,
     empirical_rate,
     empirical_rate_at,
     estimate_limit,
@@ -454,6 +455,41 @@ class TestLdpValueAndLimit:
         seq = MeasureSequence("seesaw", entries)
         report = estimate_limit(seq, lambda x: x)
         assert not report.converged
+
+
+class TestTermsAgainstTheirRates:
+    # the n-th term L_n(F) = (1/n) log sum_k e^(n (F - I_n))_k over n + 1
+    # atoms, with I_n = -(1/n) log mu_n its empirical rate
+    SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_pit_dual_of_a_term_is_its_empirical_rate(self, p):
+        u = 2.0**-53
+        for entry in cramer_sequence(p, self.SCHEDULE).entries:
+            n = entry.n
+            dual = dual_rate(ldp_term(entry.measure, n, entry.space))
+            got, want = dual.rate.values, empirical_rate(entry).values
+            assert np.array_equal(np.isinf(got), np.isinf(want)), n
+            # a pit of depth d misses its limit by (1/n) log(1 + r e^(-n d)) with
+            # r = (1 - w_x) / w_x <= e^(n I_n(x)); the rest is a few roundings of
+            # the log-sum-exps and of L(0), 16 ulps of 1 + I_n in all
+            depth = np.array([c.depth for c in dual.per_point_convergence])
+            with np.errstate(over="ignore"):
+                truncation = np.exp(n * (want - depth)) / n
+            bound = truncation + 16 * u * (1.0 + want)
+            finite = np.isfinite(want)
+            assert (np.abs(got - want)[finite] <= bound[finite]).all(), n
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_term_gap_is_within_the_laplace_bracket(self, p):
+        # the sum of n + 1 exponentials lies between its largest term and n + 1 times it
+        def F(x):
+            return np.sin(3.0 * x)
+
+        for entry in cramer_sequence(p, self.SCHEDULE).entries:
+            n = entry.n
+            gap = ldp_value(entry, F) - float(np.max(F(entry.space.coords) - empirical_rate(entry).values))
+            assert 0.0 <= gap <= math.log(n + 1) / n, n
 
 
 class TestTightness:
