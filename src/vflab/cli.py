@@ -192,46 +192,50 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vflab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a functional on a function")
+    def command(name: str, summary: str):
+        # the summary heads the command's own --help as well as vflab --help
+        return sub.add_parser(name, help=summary, description=summary)
+
+    p = command("eval", "evaluate a functional on a function")
     p.add_argument("--functional", required=True)
     p.add_argument("--f", required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("dual", help="pit-method dual: the rate function of a functional")
+    p = command("dual", "pit-method dual: the rate function of a functional")
     p.add_argument("--functional", required=True)
     p.add_argument("--schedule", default="default", help="'default' or comma-separated pit depths")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_dual)
 
-    p = sub.add_parser("reconstruct", help="L0 + max(F - rate) from a rate file")
+    p = command("reconstruct", "L0 + max(F - rate) from a rate file")
     p.add_argument("--rate", required=True)
     p.add_argument("--f", required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_reconstruct)
 
-    p = sub.add_parser("gap", help="functional value minus its sup-form reconstruction")
+    p = command("gap", "functional value minus its sup-form reconstruction")
     p.add_argument("--functional", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--schedule", default="default")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_gap)
 
-    p = sub.add_parser("conjugate", help="J(mu) = L0 + sup_F (mu(F) - L(F)) by ascent along (mu - dL/dF)/(dL/dF) with secant steps")
+    p = command("conjugate", "J(mu) = L0 + sup_F (mu(F) - L(F)) by ascent along log(mu/p), p = dL/dF, with secant steps")
     p.add_argument("--functional", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--tol", type=float, default=ASCENT_TOL, help="gradient tolerance override")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_conjugate)
 
-    p = sub.add_parser("recover", help="L(F) = sup_mu (mu(F) - KL(mu||nu)) by mirror ascent")
+    p = command("recover", "L(F) = sup_mu (mu(F) - KL(mu||nu)) by mirror ascent")
     p.add_argument("--measure", required=True, help="the reference measure nu")
     p.add_argument("--f", required=True)
     p.add_argument("--tol", type=float, default=ASCENT_TOL, help="KKT tolerance override")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_recover)
 
-    p = sub.add_parser("check", help="certify a property on seeded random trials")
+    p = command("check", "certify a property on seeded random trials")
     p.add_argument("--functional", required=True)
     p.add_argument("--property", required=True, help=", ".join(CHECKS) + ", or sigma")
     p.add_argument("--trials", type=int, default=1000)
@@ -240,14 +244,14 @@ def build_parser() -> _Parser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("cramer", help="Bernoulli LDP limit: per-n values plus extrapolation")
+    p = command("cramer", "Bernoulli LDP limit: per-n values plus extrapolation")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--schedule", default="default", help="'default' or comma-separated n values")
     p.add_argument("--f", required=True, help="grid function file (values on [0,1])")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_cramer)
 
-    p = sub.add_parser("tightness", help="sublevel-set diameters across a measure sequence")
+    p = command("tightness", "sublevel-set diameters across a measure sequence")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--p", type=float, help="build the Cramer instance for this p")
     source.add_argument("--measure", help="ingest a measure-sequence file instead")

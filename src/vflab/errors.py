@@ -25,10 +25,6 @@ class SpaceMismatch(ValidationError):
     """Two objects that must share a space do not."""
 
 
-class PointNotInSpace(ValidationError):
-    """Point lookup failed: unknown label or index out of range."""
-
-
 class NotMonotone(ValidationError):
     """A would-be decreasing sequence increases somewhere.
 

@@ -145,8 +145,8 @@ class TailFunction(BoundedFunction):
     """Grid samples on the half-line plus the declared limit at infinity.
 
     values are the grid samples; the row appends the tail value as one
-    last column, so the row operations see the tail too: the sup distance
-    over [0, inf) includes the tail gap, and a shift moves the tail.
+    last column, so what reads the row sees the tail too: equality, a
+    scaling, and every functional that evaluates it.
     """
 
     __slots__ = ("tail_value", "row")
@@ -251,7 +251,7 @@ def sup_form(I: RateFunction, L0: float = 0.0) -> FunctionalHandle:
     Entries with I = inf never contribute; a rate that is infinite
     everywhere is rejected because the functional would be -inf identically.
     """
-    finite = I.finite_mask()
+    finite = np.isfinite(I.values)
     if not finite.any():
         raise AllInfiniteRate("sup_form needs at least one finite rate entry")
     idx = np.nonzero(finite)[0]

@@ -26,7 +26,7 @@ import numpy as np
 from .duality import sublevel_set
 from .errors import InvalidP, InvariantViolation, ScheduleTooShort, ValidationError
 from .functionals import _log_rows
-from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _as_float_array, _finite, _positive_int
+from .space import FiniteSpace, ProbabilityMeasure, RateFunction, _as_float_array, _positive_int
 
 REFERENCE_GRID = np.linspace(0.0, 1.0, 1025)
 FIT_FRACTION = 0.5
@@ -163,11 +163,6 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def cramer_grid_space(n: int) -> FiniteSpace:
-    coords = np.arange(n + 1) / n
-    return FiniteSpace.from_line(coords)
-
-
 def cramer_sequence(p: float, schedule) -> MeasureSequence:
     """Binomial(n, p)/n on the grid {k/n} for each n in the schedule."""
     p = _valid_p(p)
@@ -185,7 +180,7 @@ def cramer_sequence(p: float, schedule) -> MeasureSequence:
         entries.append(
             SequenceEntry(
                 n=n,
-                space=cramer_grid_space(n),
+                space=FiniteSpace.from_line(np.arange(n + 1) / n),
                 measure=ProbabilityMeasure(w, log_weights=log_w),
             )
         )
@@ -210,17 +205,16 @@ def cramer_rate(p: float):
     return rate
 
 
-def _atoms(entry: SequenceEntry) -> np.ndarray:
-    """The entry's grid coordinates; a space without them has no place on [0, 1]."""
-    coords = entry.space.coords
-    if coords is None:
-        raise ValidationError("continuum functions need a line space with coordinates")
-    return coords
-
-
 def ldp_value(entry: SequenceEntry, F) -> float:
-    """(1/n) log int e^{nF} dmu_n: ldp_term's row formula on F at the atoms."""
-    f_at_atoms = np.asarray(F(_atoms(entry)), dtype=float)
+    """(1/n) log int e^{nF} dmu_n: ldp_term's row formula on F at the atoms.
+
+    The atoms are the grid coordinates; a space without them has no place
+    on [0, 1].
+    """
+    atoms = entry.space.coords
+    if atoms is None:
+        raise ValidationError("continuum functions need a line space with coordinates")
+    f_at_atoms = np.asarray(F(atoms), dtype=float)
     return float(_log_rows(f_at_atoms, entry.measure.log_weights, entry.n))
 
 
@@ -258,12 +252,6 @@ def empirical_rate(entry: SequenceEntry) -> RateFunction:
     return RateFunction(np.maximum(values, 0.0), entry.space)
 
 
-def empirical_rate_at(entry: SequenceEntry, x: float) -> float:
-    """Empirical rate at the grid atom nearest to a finite x (ties toward the lower atom)."""
-    i = int(np.argmin(np.abs(_atoms(entry) - _finite(x, "x"))))
-    return float(empirical_rate(entry).values[i])
-
-
 def tightness_scan(seq: MeasureSequence, a: float) -> tuple[tuple[int, float], ...]:
     """Diameter of {x : I_n(x) <= a} for every n in the sequence.
 
@@ -286,11 +274,9 @@ __all__ = [
     "GridFunction",
     "binomial_weights",
     "cramer_sequence",
-    "cramer_grid_space",
     "cramer_rate",
     "ldp_value",
     "estimate_limit",
     "empirical_rate",
-    "empirical_rate_at",
     "tightness_scan",
 ]

@@ -23,7 +23,6 @@ from .errors import (
     NegativeTerm,
     NegativeWeight,
     NotMonotone,
-    PointNotInSpace,
     SpaceMismatch,
     ValidationError,
 )
@@ -131,7 +130,7 @@ class FiniteSpace:
     hash alike without building labels.
     """
 
-    __slots__ = ("_size", "_ids", "_index", "_matrix", "_coords")
+    __slots__ = ("_size", "_ids", "_matrix", "_coords")
 
     def __init__(self, point_ids: Sequence[str], metric=None):
         ids = tuple(str(p) for p in point_ids)
@@ -175,7 +174,7 @@ class FiniteSpace:
                     raise ValidationError("point labels must be unique")
             coords = _freeze(coords)
         self._size, self._coords, self._ids = size, coords, ids
-        self._index = self._matrix = None
+        self._matrix = None
 
     @classmethod
     def from_line(cls, coords, point_ids: Sequence[str] | None = None) -> "FiniteSpace":
@@ -239,27 +238,6 @@ class FiniteSpace:
     def __repr__(self):
         return f"{type(self).__name__}({len(self)} points)"
 
-    def index_of(self, point) -> int:
-        """Resolve a point given as label or integer index."""
-        if isinstance(point, (int, np.integer)):
-            i = int(point)
-            if 0 <= i < len(self):
-                return i
-            raise PointNotInSpace(f"index {i} out of range for {len(self)} points")
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.point_ids)}
-        try:
-            return self._index[str(point)]
-        except KeyError:
-            raise PointNotInSpace(f"unknown point label {point!r}") from None
-
-    def distance(self, i: int, j: int) -> float:
-        if self._coords is not None:
-            return abs(float(self._coords[i] - self._coords[j]))
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
-        return float(i != j)
-
     def subset_diameter(self, indices: Sequence[int] | np.ndarray) -> float:
         """Max pairwise distance over the subset; 0 for empty or singleton sets."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -286,19 +264,6 @@ class FiniteSpace:
     def constant_function(self, c: float) -> "BoundedFunction":
         return self.from_row(np.full(self.row_width, float(c)))
 
-    def pit_function(self, index: int, depth: float) -> "BoundedFunction":
-        """The test function equal to 0 at one point and -depth elsewhere.
-
-        Every column past the points sits at -depth too: a tail domain's
-        limsup sees the pit only then.
-        """
-        row = np.full(self.row_width, -float(depth))
-        row[index] = 0.0
-        return self.from_row(row)
-
-    def sample_function(self, rng: np.random.Generator, low: float, high: float) -> "BoundedFunction":
-        return self.from_row(rng.uniform(low, high, self.row_width))
-
 
 def _require_same_space(sa, sb) -> None:
     if sa is not sb and sa != sb:
@@ -308,9 +273,9 @@ def _require_same_space(sa, sb) -> None:
 class BoundedFunction:
     """A real vector over the points of one space; all values finite.
 
-    Every operation is one plain array operation on the row (see .row),
-    rebuilt through space.from_row, so a subclass whose row carries more
-    columns than the points gets the same operations on all of them.
+    Equality, hashing and scaled read the row (see .row), and scaled
+    rebuilds through space.from_row, so a subclass whose row carries more
+    columns than the points scales all of them.
     """
 
     __slots__ = ("values", "space")
@@ -343,28 +308,8 @@ class BoundedFunction:
         """The values themselves: one row of a stacked batch."""
         return self.values
 
-    def shifted(self, c: float):
-        return self.space.from_row(self.row + float(c))
-
     def scaled(self, a: float):
         return self.space.from_row(self.row * float(a))
-
-    def plus(self, other):
-        _require_same_space(self.space, other.space)
-        return self.space.from_row(self.row + other.row)
-
-    def pointwise_max(self, other):
-        _require_same_space(self.space, other.space)
-        return self.space.from_row(np.maximum(self.row, other.row))
-
-    def sup_distance(self, other) -> float:
-        _require_same_space(self.space, other.space)
-        return float(np.max(np.abs(self.row - other.row)))
-
-    def inf_minus(self, other) -> float:
-        """inf over points of (self - other), the left side of the positivity bound."""
-        _require_same_space(self.space, other.space)
-        return float(np.min(self.row - other.row))
 
 
 class ProbabilityMeasure:
@@ -485,9 +430,6 @@ class RateFunction:
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, which == does not tell apart
         return hash((self.space, (self.values + 0.0).tobytes()))
-
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 def validate_decreasing(seq) -> tuple:

@@ -1,9 +1,14 @@
 """Shared fixtures: canonical functional instances, intentionally broken
 handles, the five frozen continuum test functions, and the reference
-helpers the tests build closed forms and diagnostics from."""
+helpers the tests build closed forms and diagnostics from.
+
+Every hypothesis test runs under one derandomized profile, so it sees the
+same examples on every run and every machine; each keeps its own
+max_examples."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vflab import (
     FiniteSpace,
@@ -20,8 +25,11 @@ from vflab import (
 )
 from vflab.duality import _dual_points
 from vflab.errors import SpaceMismatch
-from vflab.ldp_lab import REFERENCE_GRID
+from vflab.ldp_lab import REFERENCE_GRID, empirical_rate
 from vflab.space import _lse
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 # Binomial(n, 1/2)/n on {k/n} at n = 1, 2, 4 as a measure-sequence
@@ -129,6 +137,52 @@ def test_functions():
     return frozen_test_functions()
 
 
+# -- function helpers: plain array operations on function rows.  A row has
+#    space.row_width columns, so on a tail domain each one reaches the tail
+#    column as well; the batch references draw and combine functions with
+#    these, one trial at a time --
+
+
+def sample_function(space, rng: np.random.Generator, low: float, high: float):
+    """The function whose row is rng.uniform(low, high, space.row_width)."""
+    return space.from_row(rng.uniform(low, high, space.row_width))
+
+
+def pit_function(space, index: int, depth: float):
+    """0 at one point and -depth in every other column, the tail column included.
+
+    A tail domain's limsup sees the pit only through that column.
+    """
+    row = np.full(space.row_width, -float(depth))
+    row[index] = 0.0
+    return space.from_row(row)
+
+
+def shifted(F, c: float):
+    """F + c."""
+    return F.space.from_row(F.row + float(c))
+
+
+def plus(F, G):
+    """F + G, for G on F's space."""
+    return F.space.from_row(F.row + G.row)
+
+
+def pointwise_max(F, G):
+    """max(F, G), for G on F's space."""
+    return F.space.from_row(np.maximum(F.row, G.row))
+
+
+def sup_distance(F, G) -> float:
+    """sup |F - G|, the tail gap included."""
+    return float(np.max(np.abs(F.row - G.row)))
+
+
+def inf_minus(F, G) -> float:
+    """inf (F - G), the left side of the positivity bound."""
+    return float(np.min(F.row - G.row))
+
+
 # -- reference helpers: closed forms and diagnostics the tests compare against --
 
 
@@ -145,13 +199,20 @@ def pit_values(L, index: int, sched: PitSchedule | None = None) -> list[float]:
 
 
 def dual_rate_at(L, point, sched: PitSchedule | None = None) -> float:
-    """Rate at one point, by the pit pass over that point alone.
+    """Rate at one point, given as an index or a label, by the pit pass over that point alone.
 
     inf when the pit values keep climbing at the divergence slope through
     the final depth.  Single-point spaces give exactly 0.
     """
-    values, _ = _dual_points(L, np.array([L.space.index_of(point)]), sched or PitSchedule())
+    index = L.space.point_ids.index(point) if isinstance(point, str) else point
+    values, _ = _dual_points(L, np.array([index]), sched or PitSchedule())
     return float(values[0])
+
+
+def empirical_rate_at(entry, x: float) -> float:
+    """The empirical rate at the grid atom nearest to x (ties toward the lower atom)."""
+    i = int(np.argmin(np.abs(entry.space.coords - x)))
+    return float(empirical_rate(entry).values[i])
 
 
 def exponential_tilt(nu: ProbabilityMeasure, F) -> ProbabilityMeasure:

@@ -20,7 +20,14 @@ from conftest import (
     broken_translation_handle,
     canonical_suite,
     dual_rate_at,
+    inf_minus,
+    pit_function,
     pit_values,
+    plus,
+    pointwise_max,
+    sample_function,
+    shifted,
+    sup_distance,
 )
 
 from vflab import (
@@ -188,28 +195,28 @@ def test_trial_uniforms_match_default_rng(seed, count):
 
 
 def _ref_dominated(domain, rng):
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    return {"F": F, "G": F.plus(domain.sample_function(rng, PERTURB_LOW, PERTURB_HIGH))}
+    F = sample_function(domain, rng, FUNCTION_LOW, FUNCTION_HIGH)
+    return {"F": F, "G": plus(F, sample_function(domain, rng, PERTURB_LOW, PERTURB_HIGH))}
 
 
 def _ref_shift(domain, rng):
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
+    F = sample_function(domain, rng, FUNCTION_LOW, FUNCTION_HIGH)
     return {"F": F, "c": float(rng.uniform(CONST_LOW, CONST_HIGH))}
 
 
 def _ref_pair(domain, rng):
-    F = domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)
-    return {"F": F, "G": domain.sample_function(rng, FUNCTION_LOW, FUNCTION_HIGH)}
+    F = sample_function(domain, rng, FUNCTION_LOW, FUNCTION_HIGH)
+    return {"F": F, "G": sample_function(domain, rng, FUNCTION_LOW, FUNCTION_HIGH)}
 
 
 def _ref_lipschitz(L, d):
     lf, lg = L.evaluate(d["F"]), L.evaluate(d["G"])
-    return max(d["F"].inf_minus(d["G"]) - (lf - lg), abs(lf - lg) - d["F"].sup_distance(d["G"]))
+    return max(inf_minus(d["F"], d["G"]) - (lf - lg), abs(lf - lg) - sup_distance(d["F"], d["G"]))
 
 
 def _ref_interpolation(phi, d):
     F, c = d["F"], d["c"]
-    phi_F, phi_Fc, phi_2F = phi.evaluate(F), phi.evaluate(F.shifted(c)), phi.evaluate(F.scaled(2.0))
+    phi_F, phi_Fc, phi_2F = phi.evaluate(F), phi.evaluate(shifted(F, c)), phi.evaluate(F.scaled(2.0))
     worst = abs(phi_Fc - phi_F - c)
     for theta in _INTERPOLATION_THETAS:
         worst = max(worst, phi_Fc - (phi_F + c + theta * (phi_2F / 2 - phi_F)))
@@ -218,12 +225,12 @@ def _ref_interpolation(phi, d):
 
 _REFERENCE = {
     "monotone": ("monotone", _ref_dominated, lambda L, d: L(d["F"]) - L(d["G"])),
-    "translation": ("translation", _ref_shift, lambda L, d: abs(L(d["F"].shifted(d["c"])) - L(d["F"]) - d["c"])),
-    "maximal": ("maximal", _ref_pair, lambda L, d: abs(L(d["F"].pointwise_max(d["G"])) - max(L(d["F"]), L(d["G"])))),
+    "translation": ("translation", _ref_shift, lambda L, d: abs(L(shifted(d["F"], d["c"])) - L(d["F"]) - d["c"])),
+    "maximal": ("maximal", _ref_pair, lambda L, d: abs(L(pointwise_max(d["F"], d["G"])) - max(L(d["F"]), L(d["G"])))),
     "max_dominates": (
         "max_dominates",
         _ref_pair,
-        lambda L, d: max(L(d["F"]), L(d["G"])) - L(d["F"].pointwise_max(d["G"])),
+        lambda L, d: max(L(d["F"]), L(d["G"])) - L(pointwise_max(d["F"], d["G"])),
     ),
     "lipschitz": ("lipschitz", _ref_pair, _ref_lipschitz),
     "const_preserving": ("const_preserving_implies_translation", _ref_shift, _ref_interpolation),
@@ -300,10 +307,10 @@ def test_check_reports_match_per_trial_loop(handle, check):
 def _reference_point(L, index, sched):
     domain = L.space
     depths = sched.depths
-    prev = -L.evaluate(domain.pit_function(index, depths[0]))
+    prev = -L.evaluate(pit_function(domain, index, depths[0]))
     depth, increment, stalled = depths[0], 0.0, len(depths) == 1
     for d in depths[1:]:
-        cur = -L.evaluate(domain.pit_function(index, d))
+        cur = -L.evaluate(pit_function(domain, index, d))
         increment, depth, prev = cur - prev, d, cur
         if increment <= duality.STALL_TOLERANCE:
             stalled = True
@@ -336,7 +343,7 @@ def test_dual_rate_matches_per_point_loop(make, sched):
     assert all(type(c.divergent) is bool for c in report.per_point_convergence)
     for i in (0, len(ref) - 1):
         assert dual_rate_at(L, i, sched) == ref[i][0]
-        assert pit_values(L, i, sched) == [-L.evaluate(L.space.pit_function(i, d)) for d in sched.depths]
+        assert pit_values(L, i, sched) == [-L.evaluate(pit_function(L.space, i, d)) for d in sched.depths]
 
 
 # -- memory: stacked arrays stay in bounded blocks --

@@ -563,6 +563,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "eval" in proc.stdout and "tightness" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "command", ["eval", "dual", "reconstruct", "gap", "conjugate", "recover", "check", "cramer", "tightness"]
+    )
+    def test_every_subcommand_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            run([command, "--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: vflab {command}")
+        if command == "conjugate":
+            # the ascent direction since conjugate_J steps along the log ratio
+            assert "log(mu/p)" in out and "(mu - dL/dF)/(dL/dF)" not in out
+
     def test_gap_with_infinite_l0_writes_one_line(self, tmp_path):
         # a fresh process shows what pytest's warning capture would hide
         f = write(tmp_path, "S.json", dict(SUP3, L0="inf"))

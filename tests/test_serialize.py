@@ -72,7 +72,7 @@ class TestSpace:
         back = decode_space({"points": ["a", "b"], "metric": [[0, 2], [2, 0]]})
         assert back == space
         assert back.coords is None
-        assert back.distance(0, 1) == 2.0
+        assert back.subset_diameter([0, 1]) == 2.0
 
     def test_discrete_space_round_trip(self):
         # the discrete metric is implied, so the document carries labels only

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import inf_minus, pit_function, plus, pointwise_max, shifted, sup_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,6 @@ from vflab.errors import (
     NegativeTerm,
     NegativeWeight,
     NotMonotone,
-    PointNotInSpace,
     SequenceNotVanishing,
     SpaceMismatch,
     ValidationError,
@@ -43,14 +43,14 @@ class TestFiniteSpace:
     def test_default_labels_and_discrete_metric(self):
         s = FiniteSpace.default(3)
         assert s.point_ids == ("x1", "x2", "x3")
-        assert s.distance(0, 1) == 1.0
-        assert s.distance(2, 2) == 0.0
+        assert s.subset_diameter([0, 1]) == 1.0
+        assert s.subset_diameter([2, 2]) == 0.0
 
     def test_from_line(self):
         s = FiniteSpace.from_line([0.0, 0.5, 1.0])
         assert s.point_ids == ("0.0", "0.5", "1.0")
-        assert s.distance(0, 2) == 1.0
-        assert np.allclose([[s.distance(i, j) for j in range(3)] for i in range(3)], [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
+        assert s.subset_diameter([0, 2]) == 1.0
+        assert np.allclose([[s.subset_diameter([i, j]) for j in range(3)] for i in range(3)], [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
 
     def test_explicit_metric_validation(self):
         with pytest.raises(ValidationError):
@@ -86,16 +86,7 @@ class TestFiniteSpace:
         t0 = time.perf_counter()
         s = FiniteSpace.default(2048)
         assert time.perf_counter() - t0 < 2.0
-        assert s.distance(0, 2047) == 1.0 and s.distance(5, 5) == 0.0
-
-    def test_index_of(self):
-        s = FiniteSpace.default(3)
-        assert s.index_of("x2") == 1
-        assert s.index_of(2) == 2
-        with pytest.raises(PointNotInSpace):
-            s.index_of("nope")
-        with pytest.raises(PointNotInSpace):
-            s.index_of(7)
+        assert s.subset_diameter([0, 2047]) == 1.0 and s.subset_diameter([5, 5]) == 0.0
 
     def test_subset_diameter(self):
         s = FiniteSpace.from_line([0.0, 0.25, 0.5, 1.0])
@@ -116,9 +107,9 @@ class TestFiniteSpace:
         # the discrete metric is implied, so == has no matrix to compare
         a, b = FiniteSpace.default(5000), FiniteSpace.default(5000)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a.distance(0, 4999) == 1.0 and a.subset_diameter([3, 3]) == 0.0
+        assert a.subset_diameter([0, 4999]) == 1.0 and a.subset_diameter([3, 3]) == 0.0
         d = FiniteSpace.default(3)
-        assert [[d.distance(i, j) for j in range(3)] for i in range(3)] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        assert [[d.subset_diameter([i, j]) for j in range(3)] for i in range(3)] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_signed_zeros_are_distinct_points(self):
         s = FiniteSpace.from_line([0.0, -0.0])
@@ -174,18 +165,6 @@ class TestFiniteSpace:
         assert s.point_ids[3] == repr(3 / 8) and s._ids is not None
         assert FiniteSpace.default(4)._ids is None
 
-    def test_index_of_on_a_derived_line_space(self):
-        s = FiniteSpace.from_line([0.0, 0.5, 1.0])
-        assert s._index is None
-        assert s.index_of("0.5") == 1
-        with pytest.raises(PointNotInSpace):
-            s.index_of("0.50")
-
-    def test_given_labels_are_indexed_on_first_lookup(self):
-        s = FiniteSpace(["a", "b", "c"])
-        assert s._index is None
-        assert s.index_of("b") == 1 and s._index == {"a": 0, "b": 1, "c": 2}
-
     @pytest.mark.parametrize("n", [True, 2.5, "3", None])
     def test_default_refuses_a_size_that_is_not_an_integer(self, n):
         with pytest.raises(ValidationError, match="a space size must be an integer, got "):
@@ -217,7 +196,7 @@ class TestFiniteSpace:
 
     def test_pit_function(self):
         s = FiniteSpace.default(3)
-        pit = s.pit_function(1, 8.0)
+        pit = pit_function(s, 1, 8.0)
         assert pit.values.tolist() == [-8.0, 0.0, -8.0]
 
 
@@ -247,18 +226,18 @@ class TestBoundedFunction:
         s = FiniteSpace.default(3)
         F = s.function([1.0, -2.0, 0.5])
         G = s.function([0.0, 1.0, 0.5])
-        assert F.shifted(2.0).values.tolist() == [3.0, 0.0, 2.5]
+        assert shifted(F, 2.0).values.tolist() == [3.0, 0.0, 2.5]
         assert F.scaled(-1.0).values.tolist() == [-1.0, 2.0, -0.5]
-        assert F.plus(G).values.tolist() == [1.0, -1.0, 1.0]
-        assert F.pointwise_max(G).values.tolist() == [1.0, 1.0, 0.5]
-        assert F.sup_distance(G) == 3.0
-        assert F.inf_minus(G) == -3.0
+        assert plus(F, G).values.tolist() == [1.0, -1.0, 1.0]
+        assert pointwise_max(F, G).values.tolist() == [1.0, 1.0, 0.5]
+        assert sup_distance(F, G) == 3.0
+        assert inf_minus(F, G) == -3.0
 
     def test_space_mismatch(self):
         F = FiniteSpace.default(2).function([1.0, 2.0])
         G = FiniteSpace.default(3).function([1.0, 2.0, 3.0])
         with pytest.raises(SpaceMismatch):
-            F.plus(G)
+            validate_decreasing([F, G])
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=8),
@@ -270,7 +249,7 @@ class TestBoundedFunction:
         n = len(a)
         s = FiniteSpace.default(n)
         F, G, H = s.function(a), s.function(b[:n]), s.function(c[:n])
-        assert F.sup_distance(H) <= F.sup_distance(G) + G.sup_distance(H) + 1e-12
+        assert sup_distance(F, H) <= sup_distance(F, G) + sup_distance(G, H) + 1e-12
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), st.floats(-20, 20))
     @settings(max_examples=50, deadline=None)
@@ -278,8 +257,8 @@ class TestBoundedFunction:
         s = FiniteSpace.default(len(a))
         F = s.function(a)
         G = s.function(a[::-1])
-        left = F.shifted(c).pointwise_max(G.shifted(c)).values
-        right = F.pointwise_max(G).shifted(c).values
+        left = pointwise_max(shifted(F, c), shifted(G, c)).values
+        right = shifted(pointwise_max(F, G), c).values
         assert np.allclose(left, right, atol=1e-12)
 
 
@@ -391,7 +370,7 @@ class TestRateFunction:
         with pytest.raises(ValidationError):
             RateFunction([np.nan, 1.0], s)
         r = RateFunction([0.0, np.inf], s)
-        assert r.finite_mask().tolist() == [True, False]
+        assert r.values.tolist() == [0.0, math.inf]
 
 
 class TestValidateDecreasing:
